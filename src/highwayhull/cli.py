@@ -19,7 +19,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import hull_builder, oracle
 from .metric import INF, InvalidInputError, MetricParams, Point, y0_solver
@@ -95,64 +95,39 @@ def _jnum(x: float) -> str:
     return "%.12g" % x
 
 
-def _jpoint_list(vs) -> str:
-    return "[%s]" % ", ".join("[%s, %s]" % (_jnum(p.x), _jnum(p.y)) for p in vs)
+def _canonical(doc: dict) -> str:
+    """The one writer of hull documents; `doc` has the shape json.loads gives
+    back, numbers either floats or the strings "inf" / "-inf"."""
+    num = lambda x: _jnum(float(x))
+    pair = lambda a, b: "[%s, %s]" % (num(a), num(b))
+    points = lambda vs: "[%s]" % ", ".join(pair(x, y) for x, y in vs)
+    pr = doc["params"]
+    clusters = ", ".join(
+        '{"id": %d, "members": %s, "upper": %s, "lower": %s, "footprint": %s}'
+        % (cl["id"], json.dumps(cl["members"]), points(cl["upper"]), points(cl["lower"]),
+           "null" if cl["footprint"] is None else pair(*cl["footprint"]))
+        for cl in doc["clusters"]
+    )
+    return '{"params": {"p": %s, "v": %s, "alpha": %s}, "clusters": [%s], "bridges": [%s]}\n' % (
+        num(pr["p"]), num(pr["v"]), num(pr["alpha"]), clusters,
+        ", ".join(pair(a, b) for a, b in doc["bridges"]))
 
 
 def tch_to_json(tch: hull_builder.TimeConvexHull) -> str:
     m = tch.params
-    out = []
-    out.append('{"params": {"p": %s, "v": %s, "alpha": %s}' % (
-        _jnum(m.p), _jnum(m.v), _jnum(m.alpha)))
-    cl_parts = []
+    clusters = []
     for cid, cl in enumerate(tch.clusters):
         upper = cl.closure_above.upper if cl.closure_above is not None else cl.closure.upper
         lower = cl.closure_below.lower if cl.closure_below is not None else cl.closure.lower
-        fp = "null" if cl.footprint is None else "[%s, %s]" % (
-            _jnum(cl.footprint[0]), _jnum(cl.footprint[1]))
-        cl_parts.append(
-            '{"id": %d, "members": %s, "upper": %s, "lower": %s, "footprint": %s}'
-            % (cid, json.dumps(cl.member_indices), _jpoint_list(upper.vertices),
-               _jpoint_list(lower.vertices), fp)
-        )
-    out.append(', "clusters": [%s]' % ", ".join(cl_parts))
-    out.append(', "bridges": [%s]' % ", ".join(
-        "[%s, %s]" % (_jnum(a), _jnum(b)) for a, b in tch.bridges))
-    out.append("}\n")
-    return "".join(out)
+        clusters.append({"id": cid, "members": cl.member_indices, "upper": upper.vertices,
+                         "lower": lower.vertices, "footprint": cl.footprint})
+    return _canonical({"params": {"p": m.p, "v": m.v, "alpha": m.alpha},
+                       "clusters": clusters, "bridges": tch.bridges})
 
 
 def rewrite_json(text: str) -> str:
     """Re-serialize a hull document canonically (round-trip check)."""
-    doc = json.loads(text)
-
-    def num(x) -> float:
-        if x == "inf":
-            return INF
-        if x == "-inf":
-            return -INF
-        return float(x)
-
-    out = []
-    pr = doc["params"]
-    out.append('{"params": {"p": %s, "v": %s, "alpha": %s}' % (
-        _jnum(num(pr["p"])), _jnum(num(pr["v"])), _jnum(num(pr["alpha"]))))
-    cl_parts = []
-    for cl in doc["clusters"]:
-        fp = "null" if cl["footprint"] is None else "[%s, %s]" % (
-            _jnum(num(cl["footprint"][0])), _jnum(num(cl["footprint"][1])))
-        ptxt = lambda vs: "[%s]" % ", ".join(
-            "[%s, %s]" % (_jnum(num(a)), _jnum(num(b))) for a, b in vs)
-        cl_parts.append(
-            '{"id": %d, "members": %s, "upper": %s, "lower": %s, "footprint": %s}'
-            % (cl["id"], json.dumps(cl["members"]), ptxt(cl["upper"]),
-               ptxt(cl["lower"]), fp)
-        )
-    out.append(', "clusters": [%s]' % ", ".join(cl_parts))
-    out.append(', "bridges": [%s]' % ", ".join(
-        "[%s, %s]" % (_jnum(num(a)), _jnum(num(b))) for a, b in doc["bridges"]))
-    out.append("}\n")
-    return "".join(out)
+    return _canonical(json.loads(text))
 
 
 def _write(path: Optional[str], text: str) -> None:

@@ -17,8 +17,7 @@ are computed lazily and cached per edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .geometry import right_edge_tangent
 from .metric import INF, MetricParams, Point, in_walking_region, reach_coefficient
@@ -28,13 +27,6 @@ _MISSING = object()
 
 class ContractViolationError(RuntimeError):
     """Raised when arrivals are fed out of x order."""
-
-
-@dataclass(frozen=True)
-class FrontierPiece:
-    cluster_id: int
-    generator: Point
-    x_range: Tuple[float, float]
 
 
 class EnvelopeEntry:
@@ -48,7 +40,6 @@ class EnvelopeEntry:
     """
 
     __slots__ = (
-        "cluster_id",
         "chain",
         "t_idx",
         "tangents",
@@ -59,8 +50,7 @@ class EnvelopeEntry:
         "pmax_y",
     )
 
-    def __init__(self, cluster_id: int):
-        self.cluster_id = cluster_id
+    def __init__(self):
         self.chain: List[Point] = []
         self.t_idx = 0
         self.tangents = {}
@@ -79,25 +69,17 @@ class Frontier:
         self._k = reach_coefficient(m)
         self.live: List[EnvelopeEntry] = []
         self._last_x = -INF
-        self.pieces_created = 0
-        self.pieces_discarded = 0
 
     def append(self, entry: EnvelopeEntry) -> None:
         prev = self.live[-1].pmax_y if self.live else 0.0
         entry.pmax_y = prev if prev > entry.ymax else entry.ymax
         self.live.append(entry)
-        self.pieces_created += 1
 
     def update(self, merged: EnvelopeEntry, replaced: int) -> None:
         """Replace the rightmost `replaced` entries with the merged cluster."""
         if replaced:
             del self.live[-replaced:]
-            self.pieces_discarded += replaced
         self.append(merged)
-
-    def note_pieces(self, created: int = 0, discarded: int = 0) -> None:
-        self.pieces_created += created
-        self.pieces_discarded += discarded
 
     def locate(self, q: Point) -> Optional[int]:
         """Smallest live index whose right walking region contains q, else None."""
@@ -146,10 +128,3 @@ class Frontier:
             if t_lo.y <= q.y <= t_hi.y and q.x <= t_lo.x + (q.y - t_lo.y) / s:
                 return True
         return False
-
-    def pieces(self) -> List[FrontierPiece]:
-        out = []
-        for e in self.live:
-            gen = e.right_corner if e.right_corner is not None else e.chain[-1]
-            out.append(FrontierPiece(e.cluster_id, gen, (e.left_x, e.right_x)))
-        return out

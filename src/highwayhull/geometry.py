@@ -17,14 +17,12 @@ taken as |y|); callers handling the lower side mirror their inputs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from scipy.optimize import brentq
 
 from .metric import (
-    INF,
     DiscriminatingCurve,
     InvalidInputError,
     MetricParams,
@@ -132,17 +130,39 @@ def _collapse_x_ties(points: Sequence[Point], keep_top: bool) -> List[Point]:
     return out
 
 
+def push_upper(chain: List[Point], q: Point) -> bool:
+    """Monotone-chain step: append q (x >= the last abscissa) to an upper
+    chain, popping vertices it leaves on or below; False when q ties the last
+    abscissa without rising above it and is not appended."""
+    if chain and chain[-1].x == q.x:
+        if q.y <= chain[-1].y:
+            return False
+        chain.pop()
+    while len(chain) >= 2 and _cross(chain[-2], chain[-1], q) >= 0.0:
+        chain.pop()
+    chain.append(q)
+    return True
+
+
+def push_lower(chain: List[Point], q: Point) -> None:
+    """Mirror of push_upper for a lower chain; an x tie keeps the lower point."""
+    if chain and chain[-1].x == q.x:
+        if q.y >= chain[-1].y:
+            return
+        chain.pop()
+    while len(chain) >= 2 and _cross(chain[-2], chain[-1], q) <= 0.0:
+        chain.pop()
+    chain.append(q)
+
+
 def upper_hull(points: Sequence[Point]) -> Chain:
     """Upper convex chain of x-sorted points; collinear interiors dropped."""
     if not points:
         raise InvalidInputError("empty point list")
     _check_sorted(points)
-    pts = _collapse_x_ties(points, keep_top=True)
     h: List[Point] = []
-    for pt in pts:
-        while len(h) >= 2 and _cross(h[-2], h[-1], pt) >= 0.0:
-            h.pop()
-        h.append(pt)
+    for pt in points:
+        push_upper(h, pt)
     return Chain(tuple(h), "upper")
 
 
@@ -151,12 +171,9 @@ def lower_hull(points: Sequence[Point]) -> Chain:
     if not points:
         raise InvalidInputError("empty point list")
     _check_sorted(points)
-    pts = _collapse_x_ties(points, keep_top=False)
     h: List[Point] = []
-    for pt in pts:
-        while len(h) >= 2 and _cross(h[-2], h[-1], pt) <= 0.0:
-            h.pop()
-        h.append(pt)
+    for pt in points:
+        push_lower(h, pt)
     return Chain(tuple(h), "lower")
 
 
@@ -172,7 +189,7 @@ def closure_hull(members: Sequence[Point], m: MetricParams) -> ClosureHull:
     if min(ys) < 0.0 < max(ys):
         raise InvalidInputError("members must lie on one side of the highway")
     pts = _dedupe_sorted(members)
-    if m.p == 1.0:
+    if m.closure_kind == "axis_box":
         x0, x1 = pts[0].x, pts[-1].x
         y0 = min(ys)
         y1 = max(ys)
@@ -180,7 +197,7 @@ def closure_hull(members: Sequence[Point], m: MetricParams) -> ClosureHull:
         upper = Chain(tuple(_collapse_x_ties([Point(x0, y1), Point(x1, y1)], True)), "upper")
         lower = Chain(tuple(_collapse_x_ties([Point(x0, y0), Point(x1, y0)], False)), "lower")
         return ClosureHull("axis_box", upper, lower, _virtual_corners(corners, pts))
-    if math.isinf(m.p):
+    if m.closure_kind == "diamond_box":
         us = [pt.x + pt.y for pt in pts]
         ws = [pt.y - pt.x for pt in pts]
         u0, u1 = min(us), max(us)
@@ -302,7 +319,7 @@ def common_tangent(cL: DiscriminatingCurve, cR: DiscriminatingCurve) -> QuerySeg
     m = cL.params
     if (m.p, m.v) != (cR.params.p, cR.params.v):
         raise InvalidInputError("curves must share metric parameters")
-    if m.p == 1.0 or math.isinf(m.p):
+    if m.closure_kind != "convex":
         raise InvalidInputError("common tangents require 1 < p < inf")
     q1, q2 = cL.generator, cR.generator
     y1, y2 = abs(q1.y), abs(q2.y)
@@ -346,7 +363,7 @@ def exposed_boundary_segments(
     stored point.
     """
     a, b = edge
-    if m.p == 1.0:
+    if m.closure_kind == "axis_box":
         if a != b:
             raise InvalidInputError("box metrics expose corners; pass (corner, corner)")
         cx, cy = a.x, abs(a.y)
@@ -360,7 +377,7 @@ def exposed_boundary_segments(
         wedge = QuerySegment(Point(wall, cy), Point(hi, beta * (cx - hi)))
         cap = QuerySegment(Point(wall, cy), Point(hi, cy))
         return [wedge, cap]
-    if math.isinf(m.p):
+    if m.closure_kind == "diamond_box":
         if a != b:
             raise InvalidInputError("box metrics expose corners; pass (corner, corner)")
         if x_floor is None:

@@ -34,9 +34,10 @@ from .frontier import EnvelopeEntry, Frontier
 from .geometry import (
     Chain,
     ClosureHull,
-    QuerySegment,
     closure_hull,
     exposed_boundary_segments,
+    push_lower,
+    push_upper,
 )
 from .metric import (
     INF,
@@ -86,47 +87,13 @@ class _Live(EnvelopeEntry):
 
     __slots__ = ("members", "member_ids", "lower", "box")
 
-    def __init__(self, cluster_id: int):
-        super().__init__(cluster_id)
+    def __init__(self):
+        super().__init__()
         self.members: List[Point] = []
         self.member_ids: List[int] = []
         self.lower: List[Point] = []
         # box extremes (p=1): [x0, x1, y0, y1]; (p=inf): rotated [u0, u1, w0, w1]
         self.box: Optional[List[float]] = None
-
-
-def _push_upper(chain: List[Point], q: Point) -> Tuple[int, bool]:
-    """Append q to an upper hull chain; returns (#popped, appended)."""
-    if chain and chain[-1].x == q.x:
-        if q.y <= chain[-1].y:
-            return 0, False
-        chain.pop()
-        popped = 1
-    else:
-        popped = 0
-    while len(chain) >= 2:
-        o, a = chain[-2], chain[-1]
-        if (a.x - o.x) * (q.y - o.y) - (a.y - o.y) * (q.x - o.x) >= 0.0:
-            chain.pop()
-            popped += 1
-        else:
-            break
-    chain.append(q)
-    return popped, True
-
-
-def _push_lower(chain: List[Point], q: Point) -> None:
-    if chain and chain[-1].x == q.x:
-        if q.y >= chain[-1].y:
-            return
-        chain.pop()
-    while len(chain) >= 2:
-        o, a = chain[-2], chain[-1]
-        if (a.x - o.x) * (q.y - o.y) - (a.y - o.y) * (q.x - o.x) <= 0.0:
-            chain.pop()
-        else:
-            break
-    chain.append(q)
 
 
 class _SideBuilder:
@@ -136,26 +103,23 @@ class _SideBuilder:
         self.pts = pts
         self.ids = ids
         self.m = m
-        self.boxkind = "box1" if m.p == 1.0 else ("boxinf" if m.p == INF else None)
         self.frontier = Frontier(m)
         self.live: List[_Live] = []
         self.tree = None
         self.x_floor = (min(p.x for p in pts) - 1.0) if pts else 0.0
-        self._next_id = 0
 
     # -- cluster state maintenance -------------------------------------
 
     def _new_cluster(self, q: Point, qid: int) -> _Live:
-        c = _Live(self._next_id)
-        self._next_id += 1
+        c = _Live()
         c.members = [q]
         c.member_ids = [qid]
         c.left_x = c.right_x = q.x
         c.ymax = q.y
-        if self.boxkind == "box1":
+        if self.m.closure_kind == "axis_box":
             c.box = [q.x, q.x, q.y, q.y]
             c.right_corner = Point(q.x, q.y)
-        elif self.boxkind == "boxinf":
+        elif self.m.closure_kind == "diamond_box":
             u, w = q.x + q.y, q.y - q.x
             c.box = [u, u, w, w]
             c.right_corner = Point(q.x, q.y)
@@ -167,14 +131,14 @@ class _SideBuilder:
 
     def _left_corner(self, c: _Live) -> Point:
         assert c.box is not None
-        if self.boxkind == "box1":
+        if self.m.closure_kind == "axis_box":
             return Point(c.box[0], c.box[3])
         u1, w1 = c.box[1], c.box[3]
         return Point((u1 - w1) / 2.0, (u1 + w1) / 2.0)
 
     def _set_box_corners(self, c: _Live) -> None:
         assert c.box is not None
-        if self.boxkind == "box1":
+        if self.m.closure_kind == "axis_box":
             c.right_corner = Point(c.box[1], c.box[3])
             c.right_x = c.box[1]
             c.ymax = c.box[3]
@@ -188,7 +152,7 @@ class _SideBuilder:
 
     def _absorb_box(self, c: _Live, q: Point) -> None:
         assert c.box is not None
-        if self.boxkind == "box1":
+        if self.m.closure_kind == "axis_box":
             b = c.box
             b[0] = min(b[0], q.x)
             b[1] = max(b[1], q.x)
@@ -214,9 +178,8 @@ class _SideBuilder:
             if new != old:
                 events.append((new, new))
             return
-        popped, appended = _push_upper(c.chain, q)
-        self.frontier.note_pieces(created=1 if appended else 0, discarded=popped)
-        _push_lower(c.lower, q)
+        appended = push_upper(c.chain, q)
+        push_lower(c.lower, q)
         if appended:
             t_alive = c.t_idx < len(c.chain) - 1
             if not t_alive or q.y >= c.chain[c.t_idx].y:
@@ -249,16 +212,10 @@ class _SideBuilder:
                 events.append((new, new))
             return left
         old_right_x = left.chain[-1].x
-        dropped = 0
-        total_pop = 0
         for v in right.chain:
-            popped, appended = _push_upper(left.chain, v)
-            total_pop += popped
-            if not appended:
-                dropped += 1
-        self.frontier.note_pieces(created=len(right.chain) - dropped, discarded=total_pop)
+            push_upper(left.chain, v)
         for v in right.lower:
-            _push_lower(left.lower, v)
+            push_lower(left.lower, v)
         # bridge edge joins the survivors of the two original chains
         s = bisect_right([p.x for p in left.chain], old_right_x)
         if 0 < s < len(left.chain):
@@ -401,7 +358,7 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
         return True
     if a == b:
         return False
-    if m.tan_alpha == 0.0 and (
+    if m.vertical_descent and (
         (u.y >= 0.0 and a.y <= 0.0 and b.y <= 0.0)
         or (u.y <= 0.0 and a.y >= 0.0 and b.y >= 0.0)
     ):
@@ -472,7 +429,7 @@ def cross_side_merge(
     groups = list(above_groups) + list(below_groups)
     n = len(groups)
     parent = list(range(n))
-    ncomp = n
+    n_components = n
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -481,12 +438,12 @@ def cross_side_merge(
         return x
 
     def union(x: int, y: int) -> bool:
-        nonlocal ncomp
+        nonlocal n_components
         rx, ry = find(x), find(y)
         if rx == ry:
             return False
         parent[ry] = rx
-        ncomp -= 1
+        n_components -= 1
         return True
 
     k = reach_coefficient(m)
@@ -501,7 +458,7 @@ def cross_side_merge(
     xs_b = [t[0] for t in flat_b]
     ymax_b = max((abs(t[1]) for t in flat_b), default=0.0)
     for gi in range(n_above):
-        if ncomp == 1:
+        if n_components == 1:
             break
         for p in groups[gi][0]:
             reach = k * (p.y + ymax_b)
@@ -515,9 +472,9 @@ def cross_side_merge(
                     continue
                 if in_walking_region(p, Point(bx, by), m):
                     union(gi, gj)
-                    if ncomp == 1:
+                    if n_components == 1:
                         break
-            if ncomp == 1:
+            if n_components == 1:
                 break
 
     # fixpoint: closure edges and virtual corners of merged components can

@@ -6,9 +6,12 @@ straight and walking to the axis, riding it, and walking off.  Everything in
 this module is a pure function of immutable inputs.
 
 Conventions: the metric exponent p lies in [1, inf] and the speed v in
-(1, inf]; both infinities are math.inf and every infinite case takes an exact
-isinf branch.  Discriminating curves are computed in the upper half-plane;
-generator height enters through |y|, callers working below the axis mirror.
+(1, inf]; both infinities are math.inf.  MetricParams.make fixes the regime
+(box closure, vertical descent or general convex) once and every consumer
+reads its fields; where an infinity needs no branch of its own, IEEE
+arithmetic covers it (gap / inf == 0.0).  Discriminating curves are
+computed in the upper half-plane; generator height enters through |y|,
+callers working below the axis mirror.
 """
 
 from __future__ import annotations
@@ -47,53 +50,49 @@ def _require_finite(pt: Point) -> None:
 
 def alpha(p: float, v: float) -> float:
     """Incidence angle of shortest paths entering the highway, in radians."""
-    _check_params(p, v)
-    if math.isinf(p):
-        return math.pi / 4
-    if p == 1 or math.isinf(v):
-        return 0.0
-    num = v ** (1.0 / (1.0 - p))
-    den = math.sqrt(v ** (2.0 / (1.0 - p)) + (1.0 - v ** (p / (1.0 - p))) ** (2.0 / p))
-    return math.asin(num / den)
-
-
-def _tan_alpha(p: float, v: float) -> float:
-    if math.isinf(p):
-        return 1.0
-    if p == 1 or math.isinf(v):
-        return 0.0
-    return v ** (1.0 / (1.0 - p)) / (1.0 - v ** (p / (1.0 - p))) ** (1.0 / p)
-
-
-def _check_params(p: float, v: float) -> None:
-    if not (p >= 1.0):
-        raise InvalidInputError(f"p must be >= 1, got {p}")
-    if not (v > 1.0):
-        raise InvalidInputError(f"v must be > 1, got {v}")
+    return MetricParams.make(p, v).alpha
 
 
 @dataclass(frozen=True)
 class MetricParams:
+    """Exponent p and highway speed v with every regime decision made once.
+
+    closure_kind is the shape of a one-sided cluster closure: "axis_box"
+    (p = 1), "diamond_box" (p = inf) or "convex".  vertical_descent holds
+    when tan_alpha == 0, i.e. p = 1, v = inf, or alpha underflowing as
+    p -> 1+; shortest paths then reach the highway straight down.
+    """
+
     p: float
     v: float
     alpha: float
     tan_alpha: float
     descent_cost: float
+    inv_v: float
+    closure_kind: str
+    vertical_descent: bool
 
     @classmethod
     def make(cls, p: float, v: float) -> "MetricParams":
-        _check_params(p, v)
-        a = alpha(p, v)
-        t = _tan_alpha(p, v)
+        if not (p >= 1.0):
+            raise InvalidInputError(f"p must be >= 1, got {p}")
+        if not (v > 1.0):
+            raise InvalidInputError(f"v must be > 1, got {v}")
         if math.isinf(p):
-            c = 1.0
+            kind, a, t, c = "diamond_box", math.pi / 4, 1.0, 1.0
+        elif p == 1.0:
+            kind, a, t, c = "axis_box", 0.0, 0.0, 1.0
+        elif math.isinf(v):
+            kind, a, t, c = "convex", 0.0, 0.0, 1.0
         else:
+            kind = "convex"
+            num = v ** (1.0 / (1.0 - p))
+            den = math.sqrt(v ** (2.0 / (1.0 - p)) + (1.0 - v ** (p / (1.0 - p))) ** (2.0 / p))
+            a = math.asin(num / den)
+            t = num / (1.0 - v ** (p / (1.0 - p))) ** (1.0 / p)
             c = (1.0 + t**p) ** (1.0 / p)
-        return cls(p=p, v=v, alpha=a, tan_alpha=t, descent_cost=c)
-
-    @property
-    def inv_v(self) -> float:
-        return 0.0 if math.isinf(self.v) else 1.0 / self.v
+        return cls(p=p, v=v, alpha=a, tan_alpha=t, descent_cost=c, inv_v=1.0 / v,
+                   closure_kind=kind, vertical_descent=t == 0.0)
 
 
 def reach_coefficient(m: MetricParams) -> float:
@@ -103,8 +102,6 @@ def reach_coefficient(m: MetricParams) -> float:
     (|ay| + |by|) (c - tan(alpha)/v).  Used only for pruning, never for
     membership decisions.
     """
-    if math.isinf(m.v):
-        return m.descent_cost
     return (m.descent_cost - m.tan_alpha / m.v) / (1.0 - 1.0 / m.v)
 
 
@@ -147,14 +144,13 @@ def highway_time(a: Point, b: Point, m: MetricParams) -> Optional[float]:
     gap = (b.x - abs(b.y) * m.tan_alpha) - (a.x + abs(a.y) * m.tan_alpha)
     if gap < 0.0:
         return None
-    ride = 0.0 if math.isinf(m.v) else gap / m.v
-    return (abs(a.y) + abs(b.y)) * m.descent_cost + ride
+    return (abs(a.y) + abs(b.y)) * m.descent_cost + gap / m.v
 
 
 def _direct_time(a: Point, b: Point, m: MetricParams) -> float:
     # a straight path lying on the highway moves at speed v
     if a.y == 0.0 and b.y == 0.0:
-        return 0.0 if math.isinf(m.v) else abs(a.x - b.x) / m.v
+        return abs(a.x - b.x) / m.v
     return lp_distance(a, b, m.p)
 
 
@@ -266,19 +262,19 @@ def wavefront(q: Point, t: float, m: MetricParams) -> WavefrontShape:
         raise InvalidInputError("wavefront source must lie on the highway")
     if t < 0.0:
         raise InvalidInputError("negative radius")
-    if math.isinf(m.p):
+    if m.closure_kind == "diamond_box":
         fx = t
-    elif math.isinf(m.v):
-        fx = 0.0
+    elif m.vertical_descent:
+        fx = 0.0  # the tangent from (v t, 0) touches the p-circle at its top
     else:
         fx = t * m.v ** (1.0 / (1.0 - m.p))
     fy = _p_circle_y(fx, t, m.p)
-    hx = INF if math.isinf(m.v) else m.v * t
+    hx = INF if math.isinf(m.v) else m.v * t  # inf * 0 would be nan
     return WavefrontShape(
         fan_left=Point(q.x - fx, fy),
         fan_right=Point(q.x + fx, fy),
-        highway_left=Point(-hx if math.isinf(hx) else q.x - hx, 0.0),
-        highway_right=Point(hx if math.isinf(hx) else q.x + hx, 0.0),
+        highway_left=Point(q.x - hx, 0.0),
+        highway_right=Point(q.x + hx, 0.0),
         radius=t,
     )
 
@@ -327,9 +323,9 @@ def disc_curve_y(c: DiscriminatingCurve, x: float, method: str = "auto") -> Opti
     if dx < 0.0:
         raise InvalidInputError("abscissa on the wrong side of the generator")
     if method == "auto":
-        if m.p == 1.0:
+        if m.closure_kind == "axis_box":
             return _curve_p1(dx, yq, m)
-        if math.isinf(m.p):
+        if m.closure_kind == "diamond_box":
             return _curve_pinf(dx, yq)
         if m.p == 2.0:
             return _curve_p2(dx, yq, m)
@@ -351,7 +347,7 @@ def _curve_pinf(dx: float, yq: float) -> Optional[float]:
 
 
 def _curve_p2(dx: float, yq: float, m: MetricParams) -> Optional[float]:
-    if math.isinf(m.v):
+    if m.vertical_descent:
         if yq == 0.0:
             return 0.0 if dx == 0.0 else None
         return dx * dx / (4.0 * yq)
@@ -390,12 +386,12 @@ def _curve_generic(dx: float, yq: float, m: MetricParams) -> Optional[float]:
     if yq == 0.0:
         # degenerate generator on the axis: the boundary is the ascent ray
         # (tangency, not a sign change), or a vertical ray when alpha = 0
-        return dx / t if t > 0.0 else None
+        return None if m.vertical_descent else dx / t
 
     def g(y: float) -> float:
         return _curve_equality(dx, yq, y, m)
 
-    if t > 0.0:
+    if not m.vertical_descent:
         yhi = (dx - off) / t  # height where the along-highway gap closes
         if g(0.0) <= 0.0:
             return 0.0
@@ -406,8 +402,9 @@ def _curve_generic(dx: float, yq: float, m: MetricParams) -> Optional[float]:
             return yhi
         return float(brentq(g, 0.0, yhi, xtol=SOLVER_XTOL, maxiter=SOLVER_MAXITER))
 
-    # alpha = 0: either p = 1 (kinked linear equality) or v = inf
-    if m.p == 1.0:
+    # vertical descent: either p = 1 (kinked linear equality) or p > 1 with
+    # v = inf or alpha underflowed to 0
+    if m.closure_kind == "axis_box":
         gq = g(yq)
         if gq > 0.0:
             return None  # beyond the vertical wall of the L1 region
@@ -416,9 +413,14 @@ def _curve_generic(dx: float, yq: float, m: MetricParams) -> Optional[float]:
         if g(0.0) <= 0.0:
             return 0.0
         return float(brentq(g, 0.0, yq, xtol=SOLVER_XTOL, maxiter=SOLVER_MAXITER))
-    # v = inf: g decreases strictly to -2 yq; a mean-value bound on
-    # (y + yq)^p - (y - yq)^p >= dx^p gives a guaranteed upper bracket
-    yhi = yq + (dx**m.p / (2.0 * yq * m.p)) ** (1.0 / (m.p - 1.0))
+    # g decreases strictly to -2 yq when v = inf; a mean-value bound on
+    # (y + yq)^p - (y - yq)^p >= dx^p gives a guaranteed upper bracket.  As
+    # p -> 1+ the bound's exponent 1 / (p - 1) overflows, and float ** raises
+    # instead of returning inf.
+    try:
+        yhi = yq + (dx**m.p / (2.0 * yq * m.p)) ** (1.0 / (m.p - 1.0))
+    except OverflowError:
+        yhi = INF
     if not math.isfinite(yhi):
         yhi = max(1.0, 2.0 * yq, dx)
     for _ in range(_MAX_DOUBLINGS):
@@ -426,7 +428,9 @@ def _curve_generic(dx: float, yq: float, m: MetricParams) -> Optional[float]:
             break
         yhi *= 2.0
     else:
-        raise NumericError("failed to bracket the curve ordinate")
+        raise NumericError(
+            "failed to bracket the curve ordinate: dx=%r yq=%r p=%r v=%r" % (dx, yq, m.p, m.v)
+        )
     if g(0.0) <= 0.0:
         return 0.0
     return float(brentq(g, 0.0, yhi, xtol=SOLVER_XTOL, maxiter=SOLVER_MAXITER))
@@ -444,17 +448,17 @@ def disc_curve_slope(c: DiscriminatingCurve, x: float) -> float:
     sgn = 1.0 if c.side == "right" else -1.0
     if dx < 0.0:
         raise InvalidInputError("abscissa on the wrong side of the generator")
-    if math.isinf(m.p):
+    if m.closure_kind == "diamond_box":
         if dx < yq:
             raise InvalidInputError("abscissa inside the entry offset")
         return sgn
-    if m.p == 1.0:
+    if m.closure_kind == "axis_box":
         beta = (1.0 - m.inv_v) / 2.0
         if dx >= yq / beta:
             raise InvalidInputError("abscissa at or beyond the L1 wall")
         return sgn * beta
     if yq == 0.0:
-        if m.tan_alpha == 0.0:
+        if m.vertical_descent:
             if dx == 0.0:
                 return INF
             raise InvalidInputError("abscissa outside the degenerate vertical ray")

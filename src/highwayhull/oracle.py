@@ -117,7 +117,7 @@ def _edge_region_margin(
         v = f(0.0)
         return v <= 0.0, abs(v)
 
-    if m.tan_alpha == 0.0 and (
+    if m.vertical_descent and (
         (u.y >= 0.0 and a.y <= 0.0 and b.y <= 0.0)
         or (u.y <= 0.0 and a.y >= 0.0 and b.y >= 0.0)
     ):
@@ -232,7 +232,7 @@ def cluster(
                 union(i, j)
                 continue
             direct = lp_distance(pi, pj, m.p)
-            aligned_family = m.tan_alpha == 0.0 and (
+            aligned_family = m.vertical_descent and (
                 (pi.y >= 0.0 and pj.y <= 0.0) or (pi.y <= 0.0 and pj.y >= 0.0)
             )
             # with a vertical descent a far-side pair ties only at abscissa

@@ -112,7 +112,7 @@ def _wavefront_outline(q: Point, t: float, m: MetricParams) -> List[Point]:
     for i in range(CURVE_SAMPLES):
         x = -fx + 2 * fx * i / (CURVE_SAMPLES - 1) if fx > 0 else 0.0
         r = abs(x) / t if t > 0 else 0.0
-        if math.isinf(m.p):
+        if m.closure_kind == "diamond_box":
             y = t
         else:
             y = t * max(0.0, 1.0 - r ** m.p) ** (1.0 / m.p) if t > 0 else 0.0

@@ -1,7 +1,9 @@
 """Command-line behavior: parsing, JSON output, exit codes, generators."""
 
+import hashlib
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,6 +11,10 @@ import pytest
 import helpers
 from highwayhull import cli, hull_builder
 from highwayhull.metric import INF, MetricParams, Point
+
+# SHA-256 of the fixed corpus's concatenated build JSON.  A refactor must
+# reproduce it byte for byte; a change meant to alter outputs re-pins it.
+CORPUS_SHA256 = "7ca63a6878ad7d7249f2dcb83a27643ade8eadf8d03f8f837b72e172ef4b5ac4"
 
 REFERENCE_CSV = "# four points\n0,1\n0.5,1\n100,1\n50,-30\n"
 
@@ -143,3 +149,18 @@ def test_bench_emits_timing_records(tmp_path):
     docs = [json.loads(line) for line in lines]
     assert [d["n"] for d in docs] == [64, 128]
     assert all(d["runs"] == 2 and d["median_s"] > 0 for d in docs)
+
+
+def test_build_json_is_byte_identical_on_fixed_corpus():
+    # every (p, v) of the grid, ties and duplicates left in, each instance
+    # both as drawn and folded above the highway
+    h = hashlib.sha256()
+    for i, p in enumerate(helpers.P_GRID):
+        for j, v in enumerate(helpers.V_GRID):
+            m = MetricParams.make(p, v)
+            rng = random.Random(100 * i + j)
+            for _ in range(6):
+                pts = helpers.random_points(rng, rng.randint(2, 48))
+                for inst in (pts, [Point(x, abs(y)) for x, y in pts]):
+                    h.update(cli.tch_to_json(hull_builder.build(inst, m)).encode())
+    assert h.hexdigest() == CORPUS_SHA256

@@ -18,9 +18,9 @@ from highwayhull.oracle import _edge_region_margin
 GUARD = 1e-7
 
 
-def singleton(i, pt, m):
-    e = EnvelopeEntry(i)
-    if m.p == 1.0 or m.p == INF:
+def singleton(pt, m):
+    e = EnvelopeEntry()
+    if m.closure_kind != "convex":
         e.right_corner = pt
     else:
         e.chain = [pt]
@@ -45,24 +45,11 @@ def test_out_of_order_arrivals_rejected():
         f.locate(Point(3.0, 1.0))
 
 
-def test_piece_accounting():
-    m = MetricParams.make(2.0, 2.0)
-    f = Frontier(m)
-    for i, x in enumerate((0.0, 1.0, 2.0)):
-        f.append(singleton(i, Point(x, 1.0), m))
-    assert f.pieces_created == 3 and f.pieces_discarded == 0
-    f.update(singleton(3, Point(2.0, 1.0), m), replaced=2)
-    assert f.pieces_created == 4 and f.pieces_discarded == 2
-    f.note_pieces(created=5, discarded=1)
-    assert f.pieces_created == 9 and f.pieces_discarded == 3
-    assert len(f.pieces()) == 2
-
-
 def test_prefix_maxima_track_heights():
     m = MetricParams.make(2.0, 2.0)
     f = Frontier(m)
-    for i, (x, y) in enumerate(((0.0, 4.0), (1.0, 1.0), (2.0, 2.0))):
-        f.append(singleton(i, Point(x, y), m))
+    for x, y in ((0.0, 4.0), (1.0, 1.0), (2.0, 2.0)):
+        f.append(singleton(Point(x, y), m))
     assert [e.pmax_y for e in f.live] == [4.0, 4.0, 4.0]
 
 
@@ -74,8 +61,8 @@ def test_locate_matches_naive_scan_over_singletons():
             f = Frontier(m)
             xs = sorted(rng.uniform(-40.0, 40.0) for _ in range(30))
             pts = [Point(x, rng.uniform(0.0, 8.0)) for x in xs]
-            for i, pt in enumerate(pts):
-                f.append(singleton(i, pt, m))
+            for pt in pts:
+                f.append(singleton(pt, m))
             queries = sorted(
                 (Point(rng.uniform(40.0, 90.0), rng.uniform(0.0, 10.0)) for _ in range(40)),
                 key=lambda q: q.x,
@@ -93,7 +80,7 @@ def test_falling_edge_band_agrees_with_exhaustive_region_test():
     hi, lo = Point(0.0, 5.0), Point(4.0, 1.0)
     for p, v in ((1.3, 2.0), (2.0, 2.0), (3.0, 5.0), (7.0, 1.5), (2.0, 100.0)):
         m = MetricParams.make(p, v)
-        e = EnvelopeEntry(0)
+        e = EnvelopeEntry()
         e.chain = [hi, lo]
         e.t_idx = 0
         e.left_x, e.right_x, e.ymax = hi.x, lo.x, hi.y

@@ -13,6 +13,7 @@ from highwayhull.metric import (
     DiscriminatingCurve,
     InvalidInputError,
     MetricParams,
+    NumericError,
     Point,
 )
 
@@ -197,3 +198,23 @@ def test_partition_invariances():
         dx = rng.uniform(-30.0, 30.0)
         assert helpers.build_partition([Point(q.x + dx, q.y) for q in pts], m) == want
         assert helpers.build_partition([Point(q.x, -q.y) for q in pts], m) == want
+
+
+def test_exponent_near_one_fails_only_with_typed_errors():
+    # alpha underflows to 0 for these p although v is finite, so the curve
+    # solver takes its vertical-descent bracket, whose 1 / (p - 1) exponent
+    # overflows a float; failures must still be typed and carry p and v
+    for p in (1.0 + 1e-7, 1.000001):
+        for v in (1.5, 2.0, 10.0):
+            m = MetricParams.make(p, v)
+            for seed in range(10):
+                rng = random.Random(seed)
+                pts = [Point(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(20)]
+                try:
+                    got = helpers.build_partition(pts, m)
+                except NumericError as ex:
+                    assert "p=%r v=%r" % (p, v) in str(ex)
+                    continue
+                ref = oracle.cluster(pts, m)
+                if ref.min_margin >= helpers.NEAR_TIE:
+                    assert got == helpers.canon(ref.partition), (p, v, seed)

@@ -57,6 +57,22 @@ def test_angle_rejects_bad_parameters():
             alpha(p, v)
 
 
+def test_regime_is_decided_once_by_make():
+    cases = {
+        (1.0, 7.0): ("axis_box", True),
+        (INF, 1.5): ("diamond_box", False),
+        (3.0, INF): ("convex", True),
+        (2.0, 2.0): ("convex", False),
+        # alpha underflows to 0 although v is finite
+        (1.0 + 1e-7, 2.0): ("convex", True),
+    }
+    for (p, v), (kind, vertical) in cases.items():
+        m = MetricParams.make(p, v)
+        assert (m.closure_kind, m.vertical_descent) == (kind, vertical), (p, v)
+        assert m.inv_v == 1.0 / v
+        assert alpha(p, v) == m.alpha
+
+
 def test_derived_constants_euclidean_speed_two():
     m = MetricParams.make(2.0, 2.0)
     assert abs(m.tan_alpha - 1.0 / SQ3) < TOL
@@ -224,6 +240,12 @@ def test_wavefront_shape_euclidean_speed_two():
     assert w.highway_right == Point(2.0, 0.0)
     assert w.fan_left == Point(-w.fan_right.x, w.fan_right.y)
     assert w.radius == 1.0
+
+
+def test_wavefront_l1_fan_sits_at_the_top():
+    w = wavefront(Point(3.0, 0.0), 2.0, MetricParams.make(1.0, 2.0))
+    assert w.fan_left == w.fan_right == Point(3.0, 2.0)
+    assert (w.highway_left, w.highway_right) == (Point(-1.0, 0.0), Point(7.0, 0.0))
 
 
 def test_wavefront_requires_source_on_highway():

@@ -111,4 +111,4 @@ def test_tree_size_stays_log_linear():
     pts = sorted({Point(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4)) for _ in range(n)})
     tree = subpath_hull.build(pts)
     bound = 4 * len(pts) * (math.log2(len(pts)) + 2)
-    assert tree.total_node_vertices <= bound
+    assert sum(len(hx) for hx, _, _ in tree._nodes.values()) <= bound
