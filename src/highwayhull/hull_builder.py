@@ -12,8 +12,15 @@ of clusters; the loop runs until no exposure hits.
 
 Sides are then joined: two clusters merge when some member pair walks, or
 when a member of one lies in the walking region of a closure edge or
-virtual corner of the other.  Growth of merged closures can expose more
-points, so the cross-side stage iterates to a fixed point.
+virtual corner of the other.  Stage one tests opposite-side member pairs
+only inside the entry cone |dx| <= kx (|ay| + |by|) + D of
+`metric.cross_side_window`, scanning the below members band by band of
+|y|.  Growth of merged closures can expose more points, so the join then
+iterates to a fixed point: components are swept in x-span order with the
+reach slack, edge-region tests are cut to the reach box of
+`reach_coefficient`'s linear-margin lemma, and each round rebuilds and
+retests only the components the previous round changed.  A side holding
+a single swept cluster keeps that cluster's incrementally built hull.
 
 Footprints and bridges come last: a cluster's footprint spans the highway
 interval its internal shortest paths ride, and bridges fill the highway
@@ -40,10 +47,12 @@ from .geometry import (
     push_upper,
 )
 from .metric import (
+    FLOAT_EPS,
     INF,
     InvalidInputError,
     MetricParams,
     Point,
+    cross_side_window,
     entry_points,
     highway_time,
     in_walking_region,
@@ -52,6 +61,9 @@ from .metric import (
 )
 
 EPS_REGION = 1e-12
+
+# a side's cluster: member points in original coordinates, dedup ids
+Group = Tuple[List[Point], List[int]]
 
 
 @dataclass
@@ -392,143 +404,215 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
     return False
 
 
+def _edge_reach(m: MetricParams, k: float, x_abs: float) -> Tuple[float, float]:
+    """(kr, dr) such that u with u.x outside [min(ax, bx) - R, max(ax, bx) + R],
+    R = kr (|uy| + max(|ay|, |by|)) + dr, is in the walking region of no
+    point of edge ab, as `_point_in_edge_region` decides in floats; x_abs
+    bounds every |x|.
+
+    By the linear-margin lemma of `reach_coefficient` every edge point has
+    direct - highway >= (1 - 1/v) (|dx| - k Y); the slack beyond k Y covers
+    EPS_REGION twice plus the float error of the differences (relative to
+    the heights, absolute from the abscissae of the highway gap).  A bare
+    relative slack k Y (1 + 1e-9) is not enough: at v -> 1 with |x| ~ 1e8,
+    rounding links points up to 1e-4 k Y past k Y.
+    """
+    w = 1.0 - m.inv_v
+    kr = k * (1.0 + 1e-9) + 64.0 * FLOAT_EPS * (k + m.descent_cost) / w
+    dr = (2.0 * EPS_REGION + 64.0 * FLOAT_EPS * x_abs) / w
+    return kr, dr
+
+
+@dataclass
+class _Component:
+    """Boundary of one cross-side component: generators, edges with their
+    x-span and height, and the generators' x-span and height."""
+
+    gens: List[Point]
+    edges: List[Tuple[Point, Point, float, float, float]]
+    lo: float
+    hi: float
+    ymax: float
+
+
+def _component(pts_a: List[Point], pts_b: List[Point], m: MetricParams) -> _Component:
+    gens: List[Point] = []
+    edges: List[Tuple[Point, Point, float, float, float]] = []
+    for pts in (pts_a, pts_b):
+        if not pts:
+            continue
+        h = closure_hull(pts, m)
+        gens.extend(_boundary_generators(h))
+        for a, b in _boundary_edges(h):
+            edges.append((a, b, min(a.x, b.x), max(a.x, b.x), max(abs(a.y), abs(b.y))))
+    xs = [p.x for p in gens]
+    return _Component(gens, edges, min(xs), max(xs), max(abs(p.y) for p in gens))
+
+
 def _clusters_linked(
-    ga: List[Point],
-    ea: List[Tuple[Point, Point]],
-    gb: List[Point],
-    eb: List[Tuple[Point, Point]],
-    m: MetricParams,
+    ca: _Component, cb: _Component, m: MetricParams, k: float, kr: float, dr: float
 ) -> bool:
-    k = reach_coefficient(m)
-    for p in ga:
-        for q in gb:
+    for p in ca.gens:
+        for q in cb.gens:
             if abs(p.x - q.x) <= k * (abs(p.y) + abs(q.y)) and in_walking_region(p, q, m):
                 return True
-    for a, b in ea:
-        for q in gb:
-            if _point_in_edge_region(q, a, b, m):
-                return True
-    for a, b in eb:
-        for p in ga:
-            if _point_in_edge_region(p, a, b, m):
-                return True
+    for edges, gens in ((ca.edges, cb.gens), (cb.edges, ca.gens)):
+        for a, b, x0, x1, ye in edges:
+            for u in gens:
+                r = kr * (abs(u.y) + ye) + dr
+                if x0 - r <= u.x <= x1 + r and _point_in_edge_region(u, a, b, m):
+                    return True
     return False
 
 
-def cross_side_merge(
-    above_groups: Sequence[Tuple[List[Point], List[int]]],
-    below_groups: Sequence[Tuple[List[Point], List[int]]],
-    m: MetricParams,
-) -> List[Tuple[List[Point], List[int]]]:
-    """Union per-side clusters into mixed components.
+class _UnionFind:
+    """Union-find over group indices with a live component count."""
 
-    Each group is (member points in original coordinates, dedup ids).
-    Stage one unions via cross-side member pairs; the fixpoint stage then
-    grows components whose merged closures expose further members.
-    """
-    groups = list(above_groups) + list(below_groups)
-    n = len(groups)
-    parent = list(range(n))
-    n_components = n
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.count = n
 
-    def find(x: int) -> int:
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> bool:
-        nonlocal n_components
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        parent[ry] = rx
-        n_components -= 1
-        return True
+    def union(self, x: int, y: int) -> None:
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+            self.count -= 1
 
+    def groups(self) -> List[List[int]]:
+        """Members of each component in increasing order, components by
+        their smallest member."""
+        out: Dict[int, List[int]] = {}
+        for i in range(len(self.parent)):
+            out.setdefault(self.find(i), []).append(i)
+        return list(out.values())
+
+
+def _x_abs(groups: Sequence[Group]) -> float:
+    return max(abs(p.x) for pts, _ in groups for p in pts)
+
+
+def _link_member_pairs(groups: Sequence[Group], n_above: int, uf: _UnionFind, m: MetricParams) -> None:
+    """Stage 1: union groups 0..n_above-1 (above) with the rest (below)
+    through member pairs that walk.
+
+    By the cone lemma of `metric.cross_side_window` such a pair has
+    |dx| <= kx Y + D, so each above member scans the below members band by
+    band (bands of |y| doubling, those under 2^-30 of the tallest merged),
+    within that window at the band's top height.  The reach filter
+    |dx| <= k Y and the range of a scan against the tallest below member
+    stay as well: at v -> 1 rounding links pairs beyond k Y, and the join
+    has never tested those.
+    """
     k = reach_coefficient(m)
-    n_above = len(above_groups)
-
-    # stage 1: cross-side member pairs, pruned by the reach bound
-    flat_b: List[Tuple[float, float, int]] = []
-    for gi in range(n_above, n):
+    kx, dcoef = cross_side_window(m)
+    d = dcoef * _x_abs(groups)
+    find = uf.find
+    by_band: Dict[int, List[Tuple[float, float, int]]] = {}
+    ymax_b = max(-p.y for pts, _ in groups[n_above:] for p in pts)
+    e_floor = math.frexp(ymax_b)[1] - 30
+    for gi in range(n_above, len(groups)):
         for p in groups[gi][0]:
-            flat_b.append((p.x, p.y, gi))
-    flat_b.sort()
-    xs_b = [t[0] for t in flat_b]
-    ymax_b = max((abs(t[1]) for t in flat_b), default=0.0)
+            by_band.setdefault(max(math.frexp(-p.y)[1], e_floor), []).append((p.x, p.y, gi))
+    bands = []
+    for flat in by_band.values():
+        flat.sort()
+        bands.append(([t[0] for t in flat], flat, max(-t[1] for t in flat)))
     for gi in range(n_above):
-        if n_components == 1:
-            break
         for p in groups[gi][0]:
+            if uf.count == 1:
+                return
             reach = k * (p.y + ymax_b)
-            lo = bisect_left(xs_b, p.x - reach)
-            hi = bisect_right(xs_b, p.x + reach)
-            for t in range(lo, hi):
-                bx, by, gj = flat_b[t]
-                if find(gi) == find(gj):
-                    continue
-                if abs(p.x - bx) > k * (p.y + abs(by)):
-                    continue
-                if in_walking_region(p, Point(bx, by), m):
-                    union(gi, gj)
-                    if n_components == 1:
-                        break
-            if n_components == 1:
-                break
+            lo_x, hi_x = p.x - reach, p.x + reach
+            for xs_b, flat_b, yhi in bands:
+                w = kx * (p.y + yhi) + d
+                lo = bisect_left(xs_b, max(lo_x, p.x - w))
+                hi = bisect_right(xs_b, min(hi_x, p.x + w))
+                for t in range(lo, hi):
+                    bx, by, gj = flat_b[t]
+                    dx = abs(p.x - bx)
+                    if dx > k * (p.y + abs(by)) or dx > kx * (p.y + abs(by)) + d:
+                        continue
+                    if find(gi) != find(gj) and in_walking_region(p, Point(bx, by), m):
+                        uf.union(gi, gj)
+                        if uf.count == 1:
+                            return
 
-    # fixpoint: closure edges and virtual corners of merged components can
-    # capture members of other components (same or opposite side)
-    while True:
-        comps: Dict[int, List[int]] = {}
-        for i in range(n):
-            comps.setdefault(find(i), []).append(i)
-        if len(comps) <= 1:
-            break
-        roots = list(comps)
-        gens: Dict[int, List[Point]] = {}
-        edges: Dict[int, List[Tuple[Point, Point]]] = {}
-        spans: Dict[int, Tuple[float, float, float]] = {}
-        for r in roots:
-            pts_a = [p for gi in comps[r] for p in groups[gi][0] if p.y >= 0.0]
-            pts_b = [p for gi in comps[r] for p in groups[gi][0] if p.y < 0.0]
-            g: List[Point] = []
-            e: List[Tuple[Point, Point]] = []
-            for pts in (pts_a, pts_b):
-                if not pts:
-                    continue
-                h = closure_hull(pts, m)
-                g.extend(_boundary_generators(h))
-                e.extend(_boundary_edges(h))
-            gens[r] = g
-            edges[r] = e
-            xs = [p.x for p in g]
-            spans[r] = (min(xs), max(xs), max(abs(p.y) for p in g))
-        changed = False
-        for i in range(len(roots)):
-            for j in range(i + 1, len(roots)):
-                ri, rj = roots[i], roots[j]
-                if find(ri) == find(rj):
-                    continue
-                lo_i, hi_i, ym_i = spans[ri]
-                lo_j, hi_j, ym_j = spans[rj]
-                slack = k * (ym_i + ym_j)
-                if lo_j - hi_i > slack or lo_i - hi_j > slack:
-                    continue
-                if _clusters_linked(gens[ri], edges[ri], gens[rj], edges[rj], m):
-                    union(ri, rj)
-                    changed = True
-        if not changed:
-            break
 
-    merged: Dict[int, Tuple[List[Point], List[int]]] = {}
-    for i in range(n):
-        r = find(i)
-        if r not in merged:
-            merged[r] = ([], [])
-        merged[r][0].extend(groups[i][0])
-        merged[r][1].extend(groups[i][1])
-    return list(merged.values())
+def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) -> None:
+    """Union components until no closure generator, edge or virtual corner
+    of one captures a boundary generator of another (either side).
+
+    Components are swept by the low end of their x-span with the reach
+    slack; only components changed in the previous round are rebuilt, and
+    only pairs with a changed side are retested.  Unions do not depend on
+    the order pairs are tested in, so every round ends with the partition
+    that testing every pair would give.
+    """
+    k = reach_coefficient(m)
+    kr, dr = _edge_reach(m, k, _x_abs(groups))
+    find = uf.find
+    comps: Dict[int, _Component] = {}
+    fresh: Optional[set] = None  # roots rebuilt this round; None: all
+    while uf.count > 1:
+        members: Dict[int, List[int]] = {}
+        for i in range(len(groups)):
+            members.setdefault(find(i), []).append(i)
+        comps = {r: comps[r] for r in members if fresh is not None and r not in fresh}
+        for r, gis in members.items():
+            if r not in comps:
+                pts = [p for gi in gis for p in groups[gi][0]]
+                comps[r] = _component(
+                    [p for p in pts if p.y >= 0.0], [p for p in pts if p.y < 0.0], m
+                )
+        order = sorted(comps, key=lambda r: comps[r].lo)
+        los = [comps[r].lo for r in order]
+        ym_all = max(c.ymax for c in comps.values())
+        touched = []
+        for a, ri in enumerate(order):
+            ci = comps[ri]
+            fresh_i = fresh is None or ri in fresh
+            reach = k * (ci.ymax + ym_all)
+            # widened past rounding; the exact slack test below decides
+            end = bisect_right(los, ci.hi + reach + 1e-12 * (abs(ci.hi) + reach), a + 1)
+            for b in range(a + 1, end):
+                rj = order[b]
+                if not (fresh_i or rj in fresh):
+                    continue
+                cj = comps[rj]
+                slack = k * (ci.ymax + cj.ymax)
+                if cj.lo - ci.hi > slack or ci.lo - cj.hi > slack:
+                    continue
+                if find(ri) != find(rj) and _clusters_linked(ci, cj, m, k, kr, dr):
+                    uf.union(ri, rj)
+                    touched.append(ri)
+        if not touched:
+            break
+        fresh = {find(r) for r in touched}
+
+
+def cross_side_merge(
+    above_groups: Sequence[Group], below_groups: Sequence[Group], m: MetricParams
+) -> List[List[int]]:
+    """Union per-side clusters into mixed components.
+
+    Each group is (member points in original coordinates, dedup ids); the
+    result lists each component's group indices (above groups first, then
+    below ones) in increasing order, components by their smallest index.
+    Stage one unions via cross-side member pairs; the fixpoint stage then
+    grows components whose merged closures expose further members.
+    """
+    groups = list(above_groups) + list(below_groups)
+    uf = _UnionFind(len(groups))
+    _link_member_pairs(groups, len(above_groups), uf, m)
+    _grow_to_fixpoint(groups, uf, m)
+    return uf.groups()
 
 
 def _cluster_footprint(boundary: List[Point], m: MetricParams) -> Optional[Tuple[float, float]]:
@@ -610,50 +694,39 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         key=lambda i: (dedup[i].x, -dedup[i].y),
     )
 
-    side_results: List[List[Tuple[List[Point], List[int], Optional[_Live]]]] = []
-    for ids, mirror in ((above, False), (below, True)):
-        if not ids:
-            side_results.append([])
-            continue
-        spts = [dedup[i] if not mirror else Point(dedup[i].x, -dedup[i].y) for i in ids]
-        sb = _SideBuilder(spts, list(ids), m)
-        lives = sb.run()
-        out = []
-        for c in lives:
-            mem = [dedup[i] for i in c.member_ids]
-            out.append((mem, list(c.member_ids), c))
-        side_results.append(out)
+    # per-side sweeps; `lives` holds the above clusters, then the below ones
+    sides = [
+        _SideBuilder([Point(dedup[i].x, -dedup[i].y) if mirror else dedup[i] for i in ids],
+                     list(ids), m).run()
+        for ids, mirror in ((above, False), (below, True))
+    ]
+    lives = sides[0] + sides[1]
+    n_above = len(sides[0])
 
-    above_groups = [(mem, mids) for mem, mids, _ in side_results[0]]
-    below_groups = [(mem, mids) for mem, mids, _ in side_results[1]]
-
-    if above_groups and below_groups:
-        merged = cross_side_merge(above_groups, below_groups, m)
+    if 0 < n_above < len(lives):
+        comps = cross_side_merge(
+            [([dedup[i] for i in c.member_ids], c.member_ids) for c in lives[:n_above]],
+            [([dedup[i] for i in c.member_ids], c.member_ids) for c in lives[n_above:]],
+            m,
+        )
     else:
-        merged = [(mem, mids) for mem, mids in above_groups + below_groups]
+        comps = [[i] for i in range(len(lives))]
 
-    # map single-side, single-origin groups back to their live chains so the
-    # common case reuses the incrementally built hulls
-    single_live: Dict[frozenset, _Live] = {}
-    for side_idx in (0, 1):
-        for mem, mids, c in side_results[side_idx]:
-            single_live[frozenset(mids)] = c
-
+    # a side holding exactly one live cluster reuses its incrementally built
+    # hull; a side gathered from several is rebuilt from its members
     clusters: List[Cluster] = []
-    for mem, mids in merged:
-        key = frozenset(mids)
-        pts_a = [p for p in mem if p.y >= 0.0]
-        pts_b = [p for p in mem if p.y < 0.0]
-        c_live = single_live.get(key)
-        if c_live is not None and (not pts_a or not pts_b):
-            hull_side = _side_closure(c_live, m, mirror=bool(pts_b))
-            ca = hull_side if pts_a else None
-            cb = hull_side if pts_b else None
-        else:
-            ca = closure_hull(pts_a, m) if pts_a else None
-            cb = closure_hull(pts_b, m) if pts_b else None
-        members = sorted(i for di in mids for i in orig[di])
-        clusters.append(Cluster(members, ca, cb))
+    for comp in comps:
+        hulls: List[Optional[ClosureHull]] = []
+        for mirror, side in ((False, [i for i in comp if i < n_above]),
+                             (True, [i for i in comp if i >= n_above])):
+            if len(side) == 1:
+                hulls.append(_side_closure(lives[side[0]], m, mirror))
+            elif side:
+                hulls.append(closure_hull([dedup[i] for gi in side for i in lives[gi].member_ids], m))
+            else:
+                hulls.append(None)
+        members = sorted(i for gi in comp for di in lives[gi].member_ids for i in orig[di])
+        clusters.append(Cluster(members, hulls[0], hulls[1]))
 
     clusters.sort(key=lambda cl: min(pts[i].x for i in cl.member_indices))
     tch = TimeConvexHull(params=m, clusters=clusters)

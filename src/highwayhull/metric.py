@@ -26,6 +26,7 @@ SOLVER_XTOL = 1e-12
 SOLVER_MAXITER = 200
 FD_STEP = 1e-6
 _MAX_DOUBLINGS = 200
+FLOAT_EPS = 2.0**-52
 
 INF = math.inf
 
@@ -98,11 +99,57 @@ class MetricParams:
 def reach_coefficient(m: MetricParams) -> float:
     """K with: a, b in one walking region implies |ax - bx| <= K (|ay| + |by|).
 
-    From direct <= highway (or the gap being negative): |dx| (1 - 1/v) <=
-    (|ay| + |by|) (c - tan(alpha)/v).  Used only for pruning, never for
+    Linear-margin lemma: with Y = |ay| + |by|, direct >= |dx| and highway =
+    Y c + (|dx| - Y tan(alpha)) / v give
+
+        direct - highway >= (1 - 1/v) (|dx| - K Y),
+
+    exactly, whenever the highway route exists (a negative gap needs
+    |dx| < Y tan(alpha) <= K Y).  Used only for pruning, never for
     membership decisions.
     """
     return (m.descent_cost - m.tan_alpha / m.v) / (1.0 - 1.0 / m.v)
+
+
+def cross_side_window(m: MetricParams) -> tuple[float, float]:
+    """(kx, dcoef): opposite-side points a, b (ay >= 0 > by) that the float
+    in_walking_region links satisfy |ax - bx| <= kx Y + dcoef X, where
+    Y = |ay| + |by| and X bounds |ax| and |bx|.
+
+    Cone lemma: with r = |dx| / Y, direct - highway = Y f(r) for r >= t,
+    f(r) = lp(r, 1) - c - (r - t) / v (t = tan(alpha), c = lp(t, 1)).  f is
+    convex with f(t) = f'(t) = 0, alpha being where the walking slope meets
+    1/v, so opposite-side pairs link only inside the cone r <= t.
+
+    Rounding guard: floats tie pairs a little beyond the cone.  kx is the
+    r in [t, K] found by bisection where the float f clears 2^-40 (c + r);
+    beyond it convexity gives f(r) >= s0 (r - t) with the chord slope
+    s0 = f(kx) / (kx - t), which outgrows the predicate's rounding, relative
+    (~eps Y (c + r)) and absolute (~eps X, from the highway gap's
+    abscissae), once |dx| > kx Y + 32 eps X / s0.  When no r <= K clears the
+    threshold (p = inf, where t = K; large p with v -> 1, e.g. p = 1e6 at
+    v = 1 + 1e-7) the window falls back to (K, 0), the reach bound itself.
+    """
+    k = reach_coefficient(m)
+    t, c = m.tan_alpha, m.descent_cost
+
+    def f(r: float) -> float:
+        return lp_distance(Point(0.0, 0.0), Point(r, 1.0), m.p) - c - (r - t) * m.inv_v
+
+    def clear(r: float) -> bool:
+        return f(r) > 2.0**-40 * (c + r)
+
+    if not (k > t and clear(k)):
+        return k, 0.0
+    lo, hi = t, k
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if clear(mid):
+            hi = mid
+        else:
+            lo = mid
+    s0 = f(hi) / (hi - t)
+    return hi, 32.0 * FLOAT_EPS / s0
 
 
 def lp_distance(a: Point, b: Point, p: float) -> float:

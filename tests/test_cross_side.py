@@ -1,0 +1,285 @@
+"""Cross-side join: the windowed stage 1 and the swept fixpoint against the
+plain all-pairs join they replace, plus call-count guards on the pruning."""
+
+from __future__ import annotations
+
+import random
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Tuple
+
+import pytest
+
+import helpers
+from highwayhull import hull_builder
+from highwayhull.geometry import closure_hull
+from highwayhull.hull_builder import Group
+from highwayhull.metric import (
+    MetricParams,
+    NumericError,
+    Point,
+    cross_side_window,
+    in_walking_region,
+    reach_coefficient,
+)
+
+EXTRA_P = (1.0 + 1e-7, 50.0, 1e6)
+V_NEAR_ONE = 1.0 + 1e-7
+
+
+# -- reference: every below member in the global reach, every root pair -----
+
+
+def _reference_linked(ga, ea, gb, eb, m: MetricParams) -> bool:
+    k = reach_coefficient(m)
+    for p in ga:
+        for q in gb:
+            if abs(p.x - q.x) <= k * (abs(p.y) + abs(q.y)) and in_walking_region(p, q, m):
+                return True
+    for a, b in ea:
+        for q in gb:
+            if hull_builder._point_in_edge_region(q, a, b, m):
+                return True
+    for a, b in eb:
+        for p in ga:
+            if hull_builder._point_in_edge_region(p, a, b, m):
+                return True
+    return False
+
+
+def _find(parent: List[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _union(parent: List[int], x: int, y: int) -> None:
+    rx, ry = _find(parent, x), _find(parent, y)
+    if rx != ry:
+        parent[ry] = rx
+
+
+def _groups(parent: List[int]) -> List[List[int]]:
+    out: Dict[int, List[int]] = {}
+    for i in range(len(parent)):
+        out.setdefault(_find(parent, i), []).append(i)
+    return list(out.values())
+
+
+def reference_member_pairs(groups: List[Group], n_above: int, m: MetricParams) -> List[int]:
+    """Stage 1 over every below member in the reach of the tallest one."""
+    parent = list(range(len(groups)))
+    k = reach_coefficient(m)
+    flat_b = sorted((p.x, p.y, gi) for gi in range(n_above, len(groups)) for p in groups[gi][0])
+    xs_b = [t[0] for t in flat_b]
+    ymax_b = max(abs(t[1]) for t in flat_b)
+    for gi in range(n_above):
+        for p in groups[gi][0]:
+            reach = k * (p.y + ymax_b)
+            for t in range(bisect_left(xs_b, p.x - reach), bisect_right(xs_b, p.x + reach)):
+                bx, by, gj = flat_b[t]
+                if _find(parent, gi) == _find(parent, gj) or abs(p.x - bx) > k * (p.y + abs(by)):
+                    continue
+                if in_walking_region(p, Point(bx, by), m):
+                    _union(parent, gi, gj)
+    return parent
+
+
+def reference_fixpoint(groups: List[Group], parent: List[int], m: MetricParams) -> List[int]:
+    """Every pair of component roots, closures rebuilt, every round."""
+    parent = list(parent)
+    k = reach_coefficient(m)
+    while True:
+        comps: Dict[int, List[int]] = {}
+        for i in range(len(groups)):
+            comps.setdefault(_find(parent, i), []).append(i)
+        if len(comps) <= 1:
+            return parent
+        bounds = {}
+        for r, gis in comps.items():
+            g, e = [], []
+            for above_side in (True, False):
+                pts = [p for gi in gis for p in groups[gi][0] if (p.y >= 0.0) == above_side]
+                if pts:
+                    h = closure_hull(pts, m)
+                    g.extend(hull_builder._boundary_generators(h))
+                    e.extend(hull_builder._boundary_edges(h))
+            xs = [p.x for p in g]
+            bounds[r] = (g, e, min(xs), max(xs), max(abs(p.y) for p in g))
+        roots = list(comps)
+        changed = False
+        for i in range(len(roots)):
+            for j in range(i + 1, len(roots)):
+                ri, rj = roots[i], roots[j]
+                if _find(parent, ri) == _find(parent, rj):
+                    continue
+                gi_, ei, lo_i, hi_i, ym_i = bounds[ri]
+                gj_, ej, lo_j, hi_j, ym_j = bounds[rj]
+                slack = k * (ym_i + ym_j)
+                if lo_j - hi_i > slack or lo_i - hi_j > slack:
+                    continue
+                if _reference_linked(gi_, ei, gj_, ej, m):
+                    _union(parent, ri, rj)
+                    changed = True
+        if not changed:
+            return parent
+
+
+# -- corpus -------------------------------------------------------------------
+
+
+def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[List[Group], List[Group]]:
+    """Per-side groups: the sweep's clusters, or singletons.  Points are
+    deduplicated; ids index the deduplicated list."""
+    dedup = list(dict.fromkeys(pts))
+    out = []
+    for above_side in (True, False):
+        ids = sorted(
+            (i for i, p in enumerate(dedup) if (p.y >= 0.0) == above_side),
+            key=lambda i: (dedup[i].x, abs(dedup[i].y)),
+        )
+        groups = [([dedup[i]], [i]) for i in ids]
+        if sweep and ids:
+            try:
+                side = [Point(dedup[i].x, abs(dedup[i].y)) for i in ids]
+                lives = hull_builder._SideBuilder(side, ids, m).run()
+                groups = [([dedup[i] for i in c.member_ids], list(c.member_ids)) for c in lives]
+            except NumericError:
+                pass
+        out.append(groups)
+    return out[0], out[1]
+
+
+def _cloud(rng: random.Random, m: MetricParams, scale: float, offset: float):
+    pts = helpers.random_points(rng, rng.randint(4, 12), span=3.0)
+    pts = [Point(offset + scale * p.x, scale * p.y) for p in pts]
+    return _side_groups(pts, m, sweep=rng.random() < 0.5)
+
+
+def _planted(rng: random.Random, m: MetricParams, scale: float, offset: float):
+    """Singleton groups far apart: opposite-side pairs at the cone edge
+    |dx| = t Y +- 10^-j Y and at the reach edge |dx| = k Y (1 +- 10^-j);
+    plus, above, a low horizontal closure edge with a tall left generator
+    and a lone point at the edge's height k Y (1 +- 10^-j) past its end."""
+    k = reach_coefficient(m)
+    gap = 8.0 * k * 3.0 * scale + 1.0
+    above: List[Group] = []
+    below: List[Group] = []
+    x = offset
+    for _ in range(4):
+        ya, yb = scale * rng.uniform(0.01, 1.0), scale * rng.uniform(0.01, 1.0)
+        y = ya + yb
+        j = 10.0 ** -rng.randint(1, 17) * rng.choice((-1.0, 1.0))
+        for dx in (m.tan_alpha * y + j * y, k * y * (1.0 + j)):
+            above.append(([Point(x, ya)], [len(above)]))
+            below.append(([Point(x + rng.choice((-1.0, 1.0)) * dx, -yb)], [len(below)]))
+            x += gap
+    h = scale * rng.uniform(0.01, 1.0)
+    tall = Point(x - scale, 3.0 * scale)
+    a, b = Point(x, h), Point(x + scale, h)
+    u = Point(b.x + 2.0 * k * h * (1.0 + 10.0 ** -rng.randint(1, 17) * rng.choice((-1.0, 1.0))), h)
+    above += [([tall, a, b], [len(above)]), ([u], [len(above) + 1])]
+    return above, below
+
+
+def _regimes() -> List[MetricParams]:
+    ps = helpers.P_GRID + EXTRA_P
+    return [MetricParams.make(p, v) for p in ps for v in helpers.V_GRID + (V_NEAR_ONE,)]
+
+
+def test_join_stages_match_all_pairs_reference():
+    rng = random.Random(2024)
+    cases = 0
+    stage1_links = fixpoint_links = 0
+    for m in _regimes():
+        for scale in (1e-3, 1.0, 1e3):
+            offset = rng.choice((0.0, 1e3, -1e5, 1e8))
+            for make in (_cloud, _planted):
+                above, below = make(rng, m, scale, offset)
+                if not above or not below:
+                    continue
+                groups = above + below
+                want1 = reference_member_pairs(groups, len(above), m)
+                uf = hull_builder._UnionFind(len(groups))
+                hull_builder._link_member_pairs(groups, len(above), uf, m)
+                assert uf.groups() == _groups(want1), ("stage 1", m.p, m.v, scale, offset)
+
+                want2 = reference_fixpoint(groups, want1, m)
+                uf = hull_builder._UnionFind(len(groups))
+                for gi, gj in enumerate(want1):
+                    uf.union(gj, gi)
+                hull_builder._grow_to_fixpoint(groups, uf, m)
+                assert uf.groups() == _groups(want2), ("fixpoint", m.p, m.v, scale, offset)
+
+                got = hull_builder.cross_side_merge(above, below, m)
+                assert got == _groups(want2), ("join", m.p, m.v, scale, offset)
+                cases += 1
+                stage1_links += len(groups) - len(_groups(want1))
+                fixpoint_links += len(_groups(want1)) - len(_groups(want2))
+    assert cases >= 300 and stage1_links >= 300 and fixpoint_links >= 100
+
+
+def test_window_excludes_only_pairs_the_predicate_rejects():
+    # just beyond kx Y + D the float predicate must say no, at any offset
+    rng = random.Random(5)
+    for m in _regimes():
+        k = reach_coefficient(m)
+        kx, dcoef = cross_side_window(m)
+        assert m.tan_alpha <= kx <= k and dcoef >= 0.0
+        for _ in range(40):
+            ya = rng.uniform(0.0, 2.0) * 10.0 ** rng.randint(-3, 3)
+            yb = rng.uniform(0.01, 2.0) * 10.0 ** rng.randint(-3, 3)
+            x0 = rng.choice((0.0, 1.0, -1e4, 1e8))
+            y = ya + yb
+            x_abs = abs(x0) + 2.0 * k * y
+            w = kx * y + dcoef * x_abs
+            dx = w * (1.0 + 1e-12) + 1e-300
+            if dx > k * y:
+                continue
+            for sign in (-1.0, 1.0):
+                a, b = Point(x0, ya), Point(x0 + sign * dx, -yb)
+                assert not in_walking_region(a, b, m), (m.p, m.v, ya, yb, x0)
+
+
+# -- call-count guards ----------------------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    counts = {"walk": 0, "edge": 0}
+    walk, edge = hull_builder.in_walking_region, hull_builder._point_in_edge_region
+
+    def counted_walk(*args):
+        counts["walk"] += 1
+        return walk(*args)
+
+    def counted_edge(*args):
+        counts["edge"] += 1
+        return edge(*args)
+
+    monkeypatch.setattr(hull_builder, "in_walking_region", counted_walk)
+    monkeypatch.setattr(hull_builder, "_point_in_edge_region", counted_edge)
+    return counts
+
+
+def test_uniform_stage_one_tests_stay_linear(counted):
+    rng = random.Random(1)
+    n = 2048
+    pts = [
+        Point(rng.uniform(-100.0, 100.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 100.0))
+        for _ in range(n)
+    ]
+    hull_builder.build(pts, MetricParams.make(1.0, 2.0))
+    # stage-1 pairs plus the fixpoint's generator pairs; the all-pairs
+    # stage 1 made 955k calls here
+    assert counted["walk"] <= 4 * n
+
+
+def test_alternating_edge_region_tests_stay_reach_bounded(counted):
+    rng = random.Random(1)
+    pts = [
+        Point(10.0 * i + rng.uniform(-1.0, 1.0), (1.0 if i % 2 == 0 else -1.0) * rng.uniform(1.0, 3.0))
+        for i in range(256)
+    ]
+    hull_builder.build(pts, MetricParams.make(2.0, 1.1))
+    # 1224 without the reach box
+    assert 0 < counted["edge"] <= 500

@@ -198,6 +198,9 @@ def test_partition_invariances():
         dx = rng.uniform(-30.0, 30.0)
         assert helpers.build_partition([Point(q.x + dx, q.y) for q in pts], m) == want
         assert helpers.build_partition([Point(q.x, -q.y) for q in pts], m) == want
+        assert helpers.build_partition([Point(-q.x, q.y) for q in pts], m) == want
+        for s in (2.0**20, 2.0**-20):
+            assert helpers.build_partition([Point(s * q.x, s * q.y) for q in pts], m) == want
 
 
 def test_exponent_near_one_fails_only_with_typed_errors():
