@@ -122,7 +122,9 @@ class Frontier:
             if tan is _MISSING:
                 tan = right_edge_tangent(hi, lo, m)
                 e.tangents[(hi, lo)] = tan
-            if tan is None:
+            if tan is None or tan[2] == 0.0:
+                # no tangent, or one collapsed onto the highway: a band of
+                # zero height, whose edge endpoints the loop above tested
                 continue
             t_lo, t_hi, s = tan
             if t_lo.y <= q.y <= t_hi.y and q.x <= t_lo.x + (q.y - t_lo.y) / s:

@@ -18,7 +18,7 @@ taken as |y|); callers handling the lower side mirror their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import brentq
 
@@ -29,6 +29,8 @@ from .metric import (
     NumericError,
     Point,
     _implicit_slope,
+    box_coords,
+    box_point,
     disc_curve_y,
 )
 
@@ -119,17 +121,6 @@ def _check_sorted(points: Sequence[Point]) -> None:
             raise InvalidInputError("points must be sorted by x, ties by y")
 
 
-def _collapse_x_ties(points: Sequence[Point], keep_top: bool) -> List[Point]:
-    out: List[Point] = []
-    for pt in points:
-        if out and out[-1].x == pt.x:
-            if keep_top:
-                out[-1] = pt
-            continue
-        out.append(pt)
-    return out
-
-
 def push_upper(chain: List[Point], q: Point) -> bool:
     """Monotone-chain step: append q (x >= the last abscissa) to an upper
     chain, popping vertices it leaves on or below; False when q ties the last
@@ -177,10 +168,6 @@ def lower_hull(points: Sequence[Point]) -> Chain:
     return Chain(tuple(h), "lower")
 
 
-def _dedupe_sorted(points: Iterable[Point]) -> List[Point]:
-    return sorted(set(points))
-
-
 def closure_hull(members: Sequence[Point], m: MetricParams) -> ClosureHull:
     """Closure shape of a one-sided member set under the metric m."""
     if not members:
@@ -188,41 +175,15 @@ def closure_hull(members: Sequence[Point], m: MetricParams) -> ClosureHull:
     ys = [pt.y for pt in members]
     if min(ys) < 0.0 < max(ys):
         raise InvalidInputError("members must lie on one side of the highway")
-    pts = _dedupe_sorted(members)
-    if m.closure_kind == "axis_box":
-        x0, x1 = pts[0].x, pts[-1].x
-        y0 = min(ys)
-        y1 = max(ys)
-        corners = [Point(x0, y0), Point(x0, y1), Point(x1, y0), Point(x1, y1)]
-        upper = Chain(tuple(_collapse_x_ties([Point(x0, y1), Point(x1, y1)], True)), "upper")
-        lower = Chain(tuple(_collapse_x_ties([Point(x0, y0), Point(x1, y0)], False)), "lower")
-        return ClosureHull("axis_box", upper, lower, _virtual_corners(corners, pts))
-    if m.closure_kind == "diamond_box":
-        us = [pt.x + pt.y for pt in pts]
-        ws = [pt.y - pt.x for pt in pts]
-        u0, u1 = min(us), max(us)
-        w0, w1 = min(ws), max(ws)
-        unrot = lambda u, w: Point((u - w) / 2.0, (u + w) / 2.0)
-        left, top = unrot(u0, w1), unrot(u1, w1)
-        right, bottom = unrot(u1, w0), unrot(u0, w0)
-        corners = [left, top, right, bottom]
-        upper = Chain(tuple(_collapse_x_ties(_drop_dupes([left, top, right]), True)), "upper")
-        lower = Chain(tuple(_collapse_x_ties(_drop_dupes([left, bottom, right]), False)), "lower")
-        return ClosureHull("diamond_box", upper, lower, _virtual_corners(corners, pts))
-    return ClosureHull("convex", upper_hull(pts), lower_hull(pts), ())
-
-
-def _drop_dupes(points: Sequence[Point]) -> List[Point]:
-    out: List[Point] = []
-    for pt in points:
-        if not out or out[-1] != pt:
-            out.append(pt)
-    return out
-
-
-def _virtual_corners(corners: Sequence[Point], members: Sequence[Point]) -> Tuple[Point, ...]:
     member_set = set(members)
-    return tuple(sorted(c for c in set(corners) if c not in member_set))
+    pts = sorted(member_set)
+    kind = m.closure_kind
+    if kind == "convex":
+        return ClosureHull(kind, upper_hull(pts), lower_hull(pts), ())
+    ss, ts = zip(*(box_coords(pt, kind) for pt in pts))
+    corners = sorted({box_point(s, t, kind) for s in (min(ss), max(ss)) for t in (min(ts), max(ts))})
+    virtual = tuple(c for c in corners if c not in member_set)
+    return ClosureHull(kind, upper_hull(corners), lower_hull(corners), virtual)
 
 
 # -- common tangents ---------------------------------------------------------

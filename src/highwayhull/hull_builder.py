@@ -52,6 +52,8 @@ from .metric import (
     InvalidInputError,
     MetricParams,
     Point,
+    box_coords,
+    box_point,
     cross_side_window,
     entry_points,
     highway_time,
@@ -97,15 +99,17 @@ class _Live(EnvelopeEntry):
     """Mutable per-side cluster state during the sweep (side coordinates:
     y >= 0, below-side points pre-mirrored)."""
 
-    __slots__ = ("members", "member_ids", "lower", "box")
+    __slots__ = ("members", "member_ids", "lower", "box", "corner")
 
     def __init__(self):
         super().__init__()
         self.members: List[Point] = []
         self.member_ids: List[int] = []
         self.lower: List[Point] = []
-        # box extremes (p=1): [x0, x1, y0, y1]; (p=inf): rotated [u0, u1, w0, w1]
+        # box metrics: extremes [s0, s1, t0, t1] in the frame of
+        # metric.box_coords, and the corner whose moves expose region
         self.box: Optional[List[float]] = None
+        self.corner: Optional[Point] = None
 
 
 class _SideBuilder:
@@ -116,9 +120,11 @@ class _SideBuilder:
         self.ids = ids
         self.m = m
         self.frontier = Frontier(m)
-        self.live: List[_Live] = []
         self.tree = None
         self.x_floor = (min(p.x for p in pts) - 1.0) if pts else 0.0
+        self.kind = m.closure_kind
+        # the exposing corner: the box's upper left for p = 1, the apex for p = inf
+        self.apex_exposes = self.kind == "diamond_box"
 
     # -- cluster state maintenance -------------------------------------
 
@@ -128,67 +134,42 @@ class _SideBuilder:
         c.member_ids = [qid]
         c.left_x = c.right_x = q.x
         c.ymax = q.y
-        if self.m.closure_kind == "axis_box":
-            c.box = [q.x, q.x, q.y, q.y]
-            c.right_corner = Point(q.x, q.y)
-        elif self.m.closure_kind == "diamond_box":
-            u, w = q.x + q.y, q.y - q.x
-            c.box = [u, u, w, w]
-            c.right_corner = Point(q.x, q.y)
-        else:
+        if self.kind == "convex":
             c.chain = [q]
             c.lower = [q]
             c.t_idx = 0
+        else:
+            s, t = box_coords(q, self.kind)
+            c.box = [s, s, t, t]
+            c.right_corner = q
+            c.corner = box_point(s, t, self.kind)
         return c
 
-    def _left_corner(self, c: _Live) -> Point:
-        assert c.box is not None
-        if self.m.closure_kind == "axis_box":
-            return Point(c.box[0], c.box[3])
-        u1, w1 = c.box[1], c.box[3]
-        return Point((u1 - w1) / 2.0, (u1 + w1) / 2.0)
-
-    def _set_box_corners(self, c: _Live) -> None:
-        assert c.box is not None
-        if self.m.closure_kind == "axis_box":
-            c.right_corner = Point(c.box[1], c.box[3])
-            c.right_x = c.box[1]
-            c.ymax = c.box[3]
-        else:
-            # governing generator is the diamond apex; reach is measured
-            # from the diamond's right corner
-            u1, w0, w1 = c.box[1], c.box[2], c.box[3]
-            c.right_corner = Point((u1 - w1) / 2.0, (u1 + w1) / 2.0)
-            c.right_x = (u1 - w0) / 2.0
-            c.ymax = (u1 + w1) / 2.0
-
-    def _absorb_box(self, c: _Live, q: Point) -> None:
-        assert c.box is not None
-        if self.m.closure_kind == "axis_box":
-            b = c.box
-            b[0] = min(b[0], q.x)
-            b[1] = max(b[1], q.x)
-            b[2] = min(b[2], q.y)
-            b[3] = max(b[3], q.y)
-        else:
-            u, w = q.x + q.y, q.y - q.x
-            b = c.box
-            b[0] = min(b[0], u)
-            b[1] = max(b[1], u)
-            b[2] = min(b[2], w)
-            b[3] = max(b[3], w)
-        self._set_box_corners(c)
+    def _grow_box(self, c: _Live, s0: float, s1: float, t0: float, t1: float, events: List) -> None:
+        """Widen c's box to cover [s0, s1] x [t0, t1]; queue the exposing
+        corner if it moved."""
+        b = c.box
+        assert b is not None
+        b[0] = min(b[0], s0)
+        b[1] = max(b[1], s1)
+        b[2] = min(b[2], t0)
+        b[3] = max(b[3], t1)
+        kind = self.kind
+        c.right_corner = top = box_point(b[1], b[3], kind)
+        c.right_x = box_point(b[1], b[2], kind).x
+        c.ymax = top.y
+        corner = top if self.apex_exposes else box_point(b[0], b[3], kind)
+        if corner != c.corner:
+            c.corner = corner
+            events.append((corner, corner))
 
     def _append_point(self, c: _Live, q: Point, qid: int, events: List) -> None:
         c.members.append(q)
         c.member_ids.append(qid)
         c.left_x = min(c.left_x, q.x)
         if c.box is not None:
-            old = self._left_corner(c)
-            self._absorb_box(c, q)
-            new = self._left_corner(c)
-            if new != old:
-                events.append((new, new))
+            s, t = box_coords(q, self.kind)
+            self._grow_box(c, s, s, t, t, events)
             return
         appended = push_upper(c.chain, q)
         push_lower(c.lower, q)
@@ -207,22 +188,13 @@ class _SideBuilder:
         """Absorb `right` (strictly to the right) into `left`."""
         left.members.extend(right.members)
         left.member_ids.extend(right.member_ids)
-        left.right_x = max(left.right_x, right.right_x)
-        left.ymax = max(left.ymax, right.ymax)
         left.left_x = min(left.left_x, right.left_x)
         if left.box is not None:
             assert right.box is not None
-            old = self._left_corner(left)
-            b, rb = left.box, right.box
-            b[0] = min(b[0], rb[0])
-            b[1] = max(b[1], rb[1])
-            b[2] = min(b[2], rb[2])
-            b[3] = max(b[3], rb[3])
-            self._set_box_corners(left)
-            new = self._left_corner(left)
-            if new != old:
-                events.append((new, new))
+            self._grow_box(left, *right.box, events)
             return left
+        left.right_x = max(left.right_x, right.right_x)
+        left.ymax = max(left.ymax, right.ymax)
         old_right_x = left.chain[-1].x
         for v in right.chain:
             push_upper(left.chain, v)
@@ -249,34 +221,31 @@ class _SideBuilder:
     def run(self) -> List[_Live]:
         for q, qid in zip(self.pts, self.ids):
             self._arrive(q, qid)
-        return self.live
+        return self.frontier.live
 
     def _arrive(self, q: Point, qid: int) -> None:
+        live = self.frontier.live
         j = self.frontier.locate(q)
         events: List = []
         if j is None:
-            c = self._new_cluster(q, qid)
-            self.live.append(c)
-            self.frontier.append(c)
+            self.frontier.append(self._new_cluster(q, qid))
         else:
-            c = self.live[j]
-            for r in self.live[j + 1 :]:
+            c = live[j]
+            for r in live[j + 1 :]:
                 self._merge(c, r, events)
-            replaced = len(self.live) - j
-            del self.live[j + 1 :]
             self._append_point(c, q, qid, events)
-            self.frontier.update(c, replaced)
+            self.frontier.update(c, len(live) - j)
         self._drain(events)
 
     def _drain(self, events: List) -> None:
+        live = self.frontier.live
         while events:
-            if len(self.live) < 2:
+            if len(live) < 2:
                 events.clear()
                 return
             e = events[-1]
-            c = self.live[-1]
             segs = exposed_boundary_segments(
-                e, self.m, x_cap=c.left_x, x_floor=self.x_floor
+                e, self.m, x_cap=live[-1].left_x, x_floor=self.x_floor
             )
             hit = False
             if segs:
@@ -286,9 +255,8 @@ class _SideBuilder:
             if not hit:
                 events.pop()
                 continue
-            left, right = self.live[-2], self.live[-1]
-            self._merge(left, right, events)
-            self.live.pop()
+            left = live[-2]
+            self._merge(left, live[-1], events)
             self.frontier.update(left, 2)
 
 

@@ -12,6 +12,13 @@ reads its fields; where an infinity needs no branch of its own, IEEE
 arithmetic covers it (gap / inf == 0.0).  Discriminating curves are
 computed in the upper half-plane; generator height enters through |y|,
 callers working below the axis mirror.
+
+Box frame: a closure under p = 1 is an axis-parallel box and one under
+p = inf a box with sides of slope +-1.  In the frame (s, t) of box_coords,
+(x, y) for p = 1 and (x + y, y - x) for p = inf, both are axis-parallel
+boxes [s0, s1] x [t0, t1], and box_point maps a frame point back; every
+box closure (the sweep's clusters, closure_hull, pair_closure) is built
+from these two maps.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from scipy.optimize import brentq
 
 SOLVER_XTOL = 1e-12
 SOLVER_MAXITER = 200
-FD_STEP = 1e-6
 _MAX_DOUBLINGS = 200
 FLOAT_EPS = 2.0**-52
 
@@ -248,30 +254,38 @@ class PairClosure:
     corners: tuple[Point, ...]
 
 
+def box_coords(q: Point, kind: str) -> tuple[float, float]:
+    """Frame coordinates (s, t) of q in which a closure of kind "axis_box"
+    (p = 1) or "diamond_box" (p = inf) is an axis-parallel box."""
+    if kind == "axis_box":
+        return q.x, q.y
+    return q.x + q.y, q.y - q.x
+
+
+def box_point(s: float, t: float, kind: str) -> Point:
+    """Inverse of box_coords."""
+    if kind == "axis_box":
+        return Point(s, t)
+    return Point((s - t) / 2.0, (s + t) / 2.0)
+
+
 def pair_closure(a: Point, b: Point, p: float) -> PairClosure:
-    """Smallest metric-convex set containing a and b (highway unused)."""
+    """Smallest metric-convex set containing a and b (highway unused).
+
+    Boxes (p in {1, inf}) list their corners counter-clockwise from the one
+    with the least frame coordinates.
+    """
     _require_finite(a)
     _require_finite(b)
     if not (p >= 1.0):
         raise InvalidInputError(f"p must be >= 1, got {p}")
-    if p == 1.0:
-        x0, x1 = min(a.x, b.x), max(a.x, b.x)
-        y0, y1 = min(a.y, b.y), max(a.y, b.y)
-        corners = [Point(x0, y0), Point(x1, y0), Point(x1, y1), Point(x0, y1)]
-        return PairClosure("rectangle", _dedupe_cycle(corners))
-    if math.isinf(p):
-        # box in rotated coordinates u = x + y, w = y - x (sides of slope +-1)
-        ua, wa = a.x + a.y, a.y - a.x
-        ub, wb = b.x + b.y, b.y - b.x
-        u0, u1 = min(ua, ub), max(ua, ub)
-        w0, w1 = min(wa, wb), max(wa, wb)
-        corners = [
-            Point((u0 - w1) / 2.0, (u0 + w1) / 2.0),
-            Point((u1 - w1) / 2.0, (u1 + w1) / 2.0),
-            Point((u1 - w0) / 2.0, (u1 + w0) / 2.0),
-            Point((u0 - w0) / 2.0, (u0 + w0) / 2.0),
-        ]
-        return PairClosure("diamond", _dedupe_cycle(corners))
+    if p == 1.0 or math.isinf(p):
+        kind = "axis_box" if p == 1.0 else "diamond_box"
+        (sa, ta), (sb, tb) = box_coords(a, kind), box_coords(b, kind)
+        s0, s1 = min(sa, sb), max(sa, sb)
+        t0, t1 = min(ta, tb), max(ta, tb)
+        corners = [box_point(s, t, kind) for s, t in ((s0, t0), (s1, t0), (s1, t1), (s0, t1))]
+        return PairClosure("rectangle" if p == 1.0 else "diamond", _dedupe_cycle(corners))
     corners = [a] if a == b else [a, b]
     return PairClosure("segment", tuple(corners))
 
@@ -487,7 +501,8 @@ def disc_curve_slope(c: DiscriminatingCurve, x: float) -> float:
     """dy/dx of the curve at abscissa x, from the defining equality.
 
     Implicit differentiation of direct(x, y) = highway(x, y) is exact for
-    every p; the finite-difference route survives as a test cross-check.
+    every p; the tests cross-check it against finite differences of
+    disc_curve_y.
     """
     m = c.params
     xq, yq = c.generator.x, abs(c.generator.y)

@@ -16,6 +16,7 @@ from .metric import (
     DiscriminatingCurve,
     MetricParams,
     Point,
+    _p_circle_y,
     disc_curve_y,
     entry_points,
     wavefront,
@@ -111,12 +112,7 @@ def _wavefront_outline(q: Point, t: float, m: MetricParams) -> List[Point]:
     fx = w.fan_right.x - q.x
     for i in range(CURVE_SAMPLES):
         x = -fx + 2 * fx * i / (CURVE_SAMPLES - 1) if fx > 0 else 0.0
-        r = abs(x) / t if t > 0 else 0.0
-        if m.closure_kind == "diamond_box":
-            y = t
-        else:
-            y = t * max(0.0, 1.0 - r ** m.p) ** (1.0 / m.p) if t > 0 else 0.0
-        pts.append(Point(q.x + x, y))
+        pts.append(Point(q.x + x, _p_circle_y(x, t, m.p)))
     if math.isfinite(w.highway_right.x):
         pts.append(w.highway_right)
     return pts

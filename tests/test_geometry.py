@@ -106,6 +106,41 @@ def test_closure_shapes_by_metric():
     assert ci.corner_generators == (Point(1.0, -1.0), Point(1.0, 1.0))
 
 
+# (upper, lower, corner_generators) of boxes that collapse to a point, a
+# segment of either axis or a segment of slope +-1
+DEGENERATE_BOXES = {
+    (1.0, "one"): ([(3, 2)], [(3, 2)], []),
+    (1.0, "horizontal"): ([(1, 2), (4, 2)], [(1, 2), (4, 2)], []),
+    (1.0, "vertical"): ([(1, 3)], [(1, 1)], []),
+    (1.0, "slope_plus"): ([(1, 3), (3, 3)], [(1, 1), (3, 1)], [(1, 3), (3, 1)]),
+    (1.0, "slope_minus"): ([(1, 3), (3, 3)], [(1, 1), (3, 1)], [(1, 1), (3, 3)]),
+    (INF, "one"): ([(3, 2)], [(3, 2)], []),
+    (INF, "horizontal"): (
+        [(1, 2), (2.5, 3.5), (4, 2)], [(1, 2), (2.5, 0.5), (4, 2)], [(2.5, 0.5), (2.5, 3.5)]
+    ),
+    (INF, "vertical"): ([(0, 2), (1, 3), (2, 2)], [(0, 2), (1, 1), (2, 2)], [(0, 2), (2, 2)]),
+    (INF, "slope_plus"): ([(1, 1), (3, 3)], [(1, 1), (3, 3)], []),
+    (INF, "slope_minus"): ([(1, 3), (3, 1)], [(1, 3), (3, 1)], []),
+}
+DEGENERATE_MEMBERS = {
+    "one": [(3, 2)],
+    "horizontal": [(1, 2), (4, 2)],
+    "vertical": [(1, 1), (1, 3)],
+    "slope_plus": [(1, 1), (3, 3)],
+    "slope_minus": [(1, 3), (3, 1)],
+}
+
+
+@pytest.mark.parametrize("p, shape", sorted(DEGENERATE_BOXES))
+def test_degenerate_box_closures(p, shape):
+    h = closure_hull([Point(float(x), float(y)) for x, y in DEGENERATE_MEMBERS[shape]],
+                     MetricParams.make(p, 2.0))
+    upper, lower, corners = DEGENERATE_BOXES[p, shape]
+    assert list(h.upper) == [Point(*v) for v in upper]
+    assert list(h.lower) == [Point(*v) for v in lower]
+    assert h.corner_generators == tuple(Point(*v) for v in corners)
+
+
 def test_closure_rejects_straddling_members():
     with pytest.raises(InvalidInputError):
         closure_hull([Point(0.0, 1.0), Point(1.0, -1.0)], MetricParams.make(2.0, 2.0))

@@ -105,6 +105,15 @@ def test_build_input_validation():
         hull_builder.build([Point(math.nan, 0.0)], m)
 
 
+def test_tangent_collapsed_onto_highway_is_skipped():
+    # the right tangent of the edge (-5, 3)-(-4, 1) collapses onto the
+    # highway: a band of zero height and zero slope, which locate skips
+    m = MetricParams.make(50.0, INF)
+    pts = [Point(-4.0, 1.0), Point(-2.0, 0.0), Point(-5.0, 3.0)]
+    assert helpers.build_partition(pts, m) == ((0, 2), (1,))
+    assert helpers.canon(oracle.cluster(pts, m).partition) == ((0, 2), (1,))
+
+
 # -- exposure captures: points governed by grown boundary pieces -------------------
 
 def test_tangent_bulge_boundary_decides_membership():

@@ -221,14 +221,20 @@ def test_pair_closure_shapes():
     )
     seg = pair_closure(a, b, 2.0)
     assert seg.kind == "segment" and seg.corners == (a, b)
+    # both boxes run counter-clockwise from their least frame corner
     dia = pair_closure(Point(0.0, 0.0), Point(2.0, 0.0), INF)
     assert dia.kind == "diamond"
-    assert set(dia.corners) == {
-        Point(0.0, 0.0),
-        Point(1.0, 1.0),
-        Point(2.0, 0.0),
+    assert dia.corners == (
         Point(1.0, -1.0),
-    }
+        Point(2.0, 0.0),
+        Point(1.0, 1.0),
+        Point(0.0, 0.0),
+    )
+    assert pair_closure(Point(0.0, 0.0), Point(2.0, 2.0), INF).corners == (
+        Point(0.0, 0.0),
+        Point(2.0, 2.0),
+    )
+    assert pair_closure(a, a, 1.0).corners == (a,)
 
 
 # -- wavefronts -------------------------------------------------------------------
