@@ -24,7 +24,10 @@ a single swept cluster keeps that cluster's incrementally built hull.
 
 Footprints and bridges come last: a cluster's footprint spans the highway
 interval its internal shortest paths ride, and bridges fill the highway
-gaps between consecutive clusters.
+gaps between consecutive clusters.  The footprint's ends are found by two
+sweeps over the boundary generators sorted by their highway entries, each
+stopping at the first riding pair; a pair whose entries overlap cannot
+ride, so every pair a sweep skips is decided without a predicate call.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from scipy.optimize import minimize_scalar
@@ -55,7 +59,6 @@ from .metric import (
     box_coords,
     box_point,
     cross_side_window,
-    entry_points,
     highway_time,
     in_walking_region,
     lp_distance,
@@ -332,8 +335,11 @@ def _gap_undefined_on_edge(u: Point, a: Point, b: Point, m: MetricParams) -> boo
     return False
 
 
-def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool:
-    """True iff u lies in the walking region of some point of segment ab."""
+def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams, eps: float) -> bool:
+    """True iff u lies in the walking region of some point of segment ab:
+    some edge point has direct - highway <= eps.  eps absorbs the bounded
+    minimizer's error; `_grow_to_fixpoint` scales it with the coordinates.
+    """
     if in_walking_region(a, u, m) or in_walking_region(b, u, m):
         return True
     if a == b:
@@ -363,11 +369,11 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
         if 0.0 < s0 < 1.0:
             pieces = [(0.0, s0), (s0, 1.0)]
     for lo, hi in pieces:
-        if f(lo) <= EPS_REGION or f(hi) <= EPS_REGION:
+        if f(lo) <= eps or f(hi) <= eps:
             return True
         res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
-        if res.fun <= EPS_REGION:
+        if res.fun <= eps:
             return True
     return False
 
@@ -380,10 +386,11 @@ def _edge_reach(m: MetricParams, k: float, x_abs: float) -> Tuple[float, float]:
 
     By the linear-margin lemma of `reach_coefficient` every edge point has
     direct - highway >= (1 - 1/v) (|dx| - k Y); the slack beyond k Y covers
-    EPS_REGION twice plus the float error of the differences (relative to
-    the heights, absolute from the abscissae of the highway gap).  A bare
-    relative slack k Y (1 + 1e-9) is not enough: at v -> 1 with |x| ~ 1e8,
-    rounding links points up to 1e-4 k Y past k Y.
+    the edge-region tolerance (at most EPS_REGION) twice plus the float
+    error of the differences (relative to the heights, absolute from the
+    abscissae of the highway gap).  A bare relative slack k Y (1 + 1e-9) is
+    not enough: at v -> 1 with |x| ~ 1e8, rounding links points up to
+    1e-4 k Y past k Y.
     """
     w = 1.0 - m.inv_v
     kr = k * (1.0 + 1e-9) + 64.0 * FLOAT_EPS * (k + m.descent_cost) / w
@@ -418,7 +425,7 @@ def _component(pts_a: List[Point], pts_b: List[Point], m: MetricParams) -> _Comp
 
 
 def _clusters_linked(
-    ca: _Component, cb: _Component, m: MetricParams, k: float, kr: float, dr: float
+    ca: _Component, cb: _Component, m: MetricParams, k: float, kr: float, dr: float, eps: float
 ) -> bool:
     for p in ca.gens:
         for q in cb.gens:
@@ -428,7 +435,7 @@ def _clusters_linked(
         for a, b, x0, x1, ye in edges:
             for u in gens:
                 r = kr * (abs(u.y) + ye) + dr
-                if x0 - r <= u.x <= x1 + r and _point_in_edge_region(u, a, b, m):
+                if x0 - r <= u.x <= x1 + r and _point_in_edge_region(u, a, b, m, eps):
                     return True
     return False
 
@@ -464,6 +471,15 @@ class _UnionFind:
 
 def _x_abs(groups: Sequence[Group]) -> float:
     return max(abs(p.x) for pts, _ in groups for p in pts)
+
+
+def _region_eps(groups: Sequence[Group]) -> float:
+    """Edge-region tolerance for the join: EPS_REGION, scaled down with
+    the largest |coordinate| when that is under 1.  An absolute tolerance
+    swallows every difference at coordinates of 1e-100 and merges
+    components that walk nowhere."""
+    c = max(max(abs(p.x), abs(p.y)) for pts, _ in groups for p in pts)
+    return EPS_REGION * min(1.0, c)
 
 
 def _link_member_pairs(groups: Sequence[Group], n_above: int, uf: _UnionFind, m: MetricParams) -> None:
@@ -525,6 +541,7 @@ def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) 
     """
     k = reach_coefficient(m)
     kr, dr = _edge_reach(m, k, _x_abs(groups))
+    eps = _region_eps(groups)
     find = uf.find
     comps: Dict[int, _Component] = {}
     fresh: Optional[set] = None  # roots rebuilt this round; None: all
@@ -557,7 +574,7 @@ def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) 
                 slack = k * (ci.ymax + cj.ymax)
                 if cj.lo - ci.hi > slack or ci.lo - cj.hi > slack:
                     continue
-                if find(ri) != find(rj) and _clusters_linked(ci, cj, m, k, kr, dr):
+                if find(ri) != find(rj) and _clusters_linked(ci, cj, m, k, kr, dr, eps):
                     uf.union(ri, rj)
                     touched.append(ri)
         if not touched:
@@ -583,24 +600,56 @@ def cross_side_merge(
     return uf.groups()
 
 
-def _cluster_footprint(boundary: List[Point], m: MetricParams) -> Optional[Tuple[float, float]]:
-    lo = INF
-    hi = -INF
-    n = len(boundary)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            a, b = boundary[i], boundary[j]
-            if a.x > b.x or (a.x == b.x and abs(a.y) > abs(b.y)):
-                continue
-            hw = highway_time(a, b, m)
-            if hw is None or hw >= lp_distance(a, b, m.p):
-                continue
-            lo = min(lo, entry_points(a, m)[1].x)
-            hi = max(hi, entry_points(b, m)[0].x)
-    if lo > hi:
+def _entries(gens: List[Point], m: MetricParams) -> Tuple[List[float], List[float]]:
+    """Left and right highway entries L = x - |y| tan(alpha) and
+    R = x + |y| tan(alpha) of each generator, as `entry_points` and
+    `highway_time` compute them."""
+    t = m.tan_alpha
+    return [g.x - abs(g.y) * t for g in gens], [g.x + abs(g.y) * t for g in gens]
+
+
+def _cluster_footprint(
+    gens: List[Point], lefts: List[float], rights: List[float], m: MetricParams
+) -> Optional[Tuple[float, float]]:
+    """Highway interval ridden by the cluster's internal shortest paths:
+    (min R(a), max L(b)) over the riding pairs of boundary generators, a
+    pair (a, b) with key(a) <= key(b), key = (x, |y|), that does not walk
+    (`in_walking_region` false); None when no pair rides.
+
+    Output-sensitive sweep.  `lo` is the R of the first generator a, in
+    ascending R, with a riding partner b; the partners are scanned in
+    descending L and the scan stops at the first L(b) < R(a).  The cut is
+    exact: `highway_time` computes the gap as the same float L(b) - R(a)
+    and returns None (walking) when it is negative, and so does every
+    partner further on.  `hi` is the mirror sweep, in descending L with the
+    partners in ascending R.  Every other pair is decided by the predicate
+    itself, so the result is the pair loop's to the bit; where the loop's
+    max kept the first of a -0.0 / 0.0 tie, that tie is resolved in its
+    (a, b) order.  Calls are one per pair with a non-negative gap up to the
+    first riding one: 2 on a 512-point arc, every such pair when nothing
+    rides.
+    """
+    n = len(gens)
+    if n < 2:
         return None
+    keys = [(g.x, abs(g.y)) for g in gens]
+    by_r = sorted(range(n), key=rights.__getitem__)
+    by_l = sorted(range(n), key=lefts.__getitem__, reverse=True)
+
+    def rides(i: int, j: int) -> bool:
+        return i != j and keys[i] <= keys[j] and not in_walking_region(gens[i], gens[j], m)
+
+    lo = next((rights[i] for i in by_r
+               if any(rides(i, j) for j in takewhile(lambda j: lefts[j] >= rights[i], by_l))),
+              None)
+    if lo is None:
+        return None
+    hi = next(lefts[j] for j in by_l
+              if any(rides(i, j) for i in takewhile(lambda i: rights[i] <= lefts[j], by_r)))
+    if hi == 0.0:
+        i, j = min((i, j) for j in range(n) if lefts[j] == 0.0
+                   for i in range(n) if rights[i] <= 0.0 and rides(i, j))
+        hi = lefts[j]
     return (lo, hi)
 
 
@@ -613,13 +662,12 @@ def footprints_and_bridges(tch: TimeConvexHull) -> TimeConvexHull:
         for h in (cl.closure_above, cl.closure_below):
             if h is not None:
                 boundary.extend(_boundary_generators(h))
-        cl.footprint = _cluster_footprint(boundary, m)
-        left_touch = min(entry_points(g, m)[0].x for g in boundary)
-        right_touch = max(entry_points(g, m)[1].x for g in boundary)
+        lefts, rights = _entries(boundary, m)
+        cl.footprint = _cluster_footprint(boundary, lefts, rights, m)
         if cl.footprint is not None:
-            anchors.append((cl.footprint[0], cl.footprint[1]))
+            anchors.append(cl.footprint)
         else:
-            anchors.append((left_touch, right_touch))
+            anchors.append((min(lefts), max(rights)))
     bridges = []
     for i in range(len(tch.clusters) - 1):
         a = anchors[i][1]

@@ -7,8 +7,6 @@ import random
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Tuple
 
-import pytest
-
 import helpers
 from highwayhull import hull_builder
 from highwayhull.geometry import closure_hull
@@ -29,7 +27,7 @@ V_NEAR_ONE = 1.0 + 1e-7
 # -- reference: every below member in the global reach, every root pair -----
 
 
-def _reference_linked(ga, ea, gb, eb, m: MetricParams) -> bool:
+def _reference_linked(ga, ea, gb, eb, m: MetricParams, eps: float) -> bool:
     k = reach_coefficient(m)
     for p in ga:
         for q in gb:
@@ -37,11 +35,11 @@ def _reference_linked(ga, ea, gb, eb, m: MetricParams) -> bool:
                 return True
     for a, b in ea:
         for q in gb:
-            if hull_builder._point_in_edge_region(q, a, b, m):
+            if hull_builder._point_in_edge_region(q, a, b, m, eps):
                 return True
     for a, b in eb:
         for p in ga:
-            if hull_builder._point_in_edge_region(p, a, b, m):
+            if hull_builder._point_in_edge_region(p, a, b, m, eps):
                 return True
     return False
 
@@ -88,6 +86,8 @@ def reference_fixpoint(groups: List[Group], parent: List[int], m: MetricParams) 
     """Every pair of component roots, closures rebuilt, every round."""
     parent = list(parent)
     k = reach_coefficient(m)
+    coord = max(max(abs(p.x), abs(p.y)) for pts, _ in groups for p in pts)
+    eps = hull_builder.EPS_REGION * min(1.0, coord)
     while True:
         comps: Dict[int, List[int]] = {}
         for i in range(len(groups)):
@@ -117,7 +117,7 @@ def reference_fixpoint(groups: List[Group], parent: List[int], m: MetricParams) 
                 slack = k * (ym_i + ym_j)
                 if lo_j - hi_i > slack or lo_i - hi_j > slack:
                     continue
-                if _reference_linked(gi_, ei, gj_, ej, m):
+                if _reference_linked(gi_, ei, gj_, ej, m, eps):
                     _union(parent, ri, rj)
                     changed = True
         if not changed:
@@ -240,25 +240,28 @@ def test_window_excludes_only_pairs_the_predicate_rejects():
                 assert not in_walking_region(a, b, m), (m.p, m.v, ya, yb, x0)
 
 
+def test_join_is_invariant_under_tiny_power_of_two_scales():
+    # the edge-region tolerance scales with the coordinates; an absolute one
+    # swallows every difference at 1e-100 and merges components that walk
+    # nowhere (p = inf, v = 5 clouds of six points in [-1, 1]^2)
+    rng = random.Random(11)
+    m = MetricParams.make(float("inf"), 5.0)
+    cases = 0
+    for _ in range(150):
+        pts = [Point(rng.uniform(-1.0, 1.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 1.0))
+               for _ in range(6)]
+        above, below = _side_groups(pts, m, sweep=True)
+        if not above or not below:
+            continue
+        want = hull_builder.cross_side_merge(above, below, m)
+        for s in (2.0**-330, 2.0**-660):
+            scale = lambda gs: [([Point(s * p.x, s * p.y) for p in g], ids) for g, ids in gs]
+            assert hull_builder.cross_side_merge(scale(above), scale(below), m) == want, s
+        cases += 1
+    assert cases >= 100
+
+
 # -- call-count guards ----------------------------------------------------------
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    counts = {"walk": 0, "edge": 0}
-    walk, edge = hull_builder.in_walking_region, hull_builder._point_in_edge_region
-
-    def counted_walk(*args):
-        counts["walk"] += 1
-        return walk(*args)
-
-    def counted_edge(*args):
-        counts["edge"] += 1
-        return edge(*args)
-
-    monkeypatch.setattr(hull_builder, "in_walking_region", counted_walk)
-    monkeypatch.setattr(hull_builder, "_point_in_edge_region", counted_edge)
-    return counts
 
 
 def test_uniform_stage_one_tests_stay_linear(counted):
@@ -283,3 +286,4 @@ def test_alternating_edge_region_tests_stay_reach_bounded(counted):
     hull_builder.build(pts, MetricParams.make(2.0, 1.1))
     # 1224 without the reach box
     assert 0 < counted["edge"] <= 500
+

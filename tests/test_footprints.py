@@ -1,0 +1,185 @@
+"""Cluster footprints: the sorted entry-point sweep against the plain pair
+loop it replaces, plus a call-count guard on the sweep's early exit."""
+
+from __future__ import annotations
+
+import math
+import random
+from typing import List, Optional, Tuple
+
+import pytest
+
+import helpers
+from highwayhull import hull_builder
+from highwayhull.metric import INF, MetricParams, Point, entry_points, highway_time, lp_distance
+
+
+# -- reference: every ordered pair of boundary generators ---------------------
+
+
+def reference_footprint(boundary: List[Point], m: MetricParams) -> Optional[Tuple[float, float]]:
+    lo = INF
+    hi = -INF
+    n = len(boundary)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            a, b = boundary[i], boundary[j]
+            if a.x > b.x or (a.x == b.x and abs(a.y) > abs(b.y)):
+                continue
+            hw = highway_time(a, b, m)
+            if hw is None or hw >= lp_distance(a, b, m.p):
+                continue
+            lo = min(lo, entry_points(a, m)[1].x)
+            hi = max(hi, entry_points(b, m)[0].x)
+    if lo > hi:
+        return None
+    return (lo, hi)
+
+
+def footprint(gens: List[Point], m: MetricParams) -> Optional[Tuple[float, float]]:
+    return hull_builder._cluster_footprint(gens, *hull_builder._entries(gens, m), m)
+
+
+def boundary_of(cl: hull_builder.Cluster) -> List[Point]:
+    out: List[Point] = []
+    for h in (cl.closure_above, cl.closure_below):
+        if h is not None:
+            out.extend(hull_builder._boundary_generators(h))
+    return out
+
+
+# -- corpus ---------------------------------------------------------------------
+
+
+def _arc(rng: random.Random, n: int) -> List[Point]:
+    ts = [rng.uniform(0.05, math.pi - 0.05) for _ in range(n)]
+    return [Point(100.0 * math.cos(t), 100.0 * math.sin(t)) for t in ts]
+
+
+def _cup(rng: random.Random, n: int) -> List[Point]:
+    ts = [rng.uniform(0.05, math.pi - 0.05) for _ in range(n)]
+    return [Point(100.0 * math.cos(t), 101.0 - 100.0 * math.sin(t)) for t in ts]
+
+
+def _strip(rng: random.Random, n: int) -> List[Point]:
+    return [Point(rng.uniform(0.0, n), math.exp(rng.uniform(math.log(0.05), math.log(5.0))))
+            for _ in range(n)]
+
+
+def _mixed(rng: random.Random, n: int) -> List[Point]:
+    # alternating sides close enough to form clusters across the highway
+    return [Point(3.0 * i + rng.uniform(-1.0, 1.0), (-1.0) ** i * rng.uniform(1.0, 3.0))
+            for i in range(n)]
+
+
+def _mirrored(rng: random.Random, n: int) -> List[Point]:
+    # (x, y) and (x, -y): equal keys (x, |y|), in both pair orders
+    half = helpers.random_points(rng, (n + 1) // 2, span=5.0)
+    return half + [Point(p.x, -p.y) for p in half]
+
+
+def _signed_zeros(rng: random.Random, n: int) -> List[Point]:
+    # x in {-0.0, 0.0} with y = 0 or tan(alpha) = 0 gives L = -0.0 beside
+    # L = 0.0; the pair loop's max kept the first of the tie
+    return [Point(rng.choice((-0.0, 0.0, 1.0, -1.0)),
+                  rng.choice((0.0, -0.0, float(rng.randint(-3, 3)))))
+            for _ in range(n)]
+
+
+FAMILIES = (_arc, _cup, _strip, _mixed, _mirrored, _signed_zeros,
+            lambda rng, n: helpers.random_points(rng, n))
+
+
+def _clusters(rng: random.Random, m: MetricParams, n_max: int):
+    for family in FAMILIES:
+        pts = family(rng, rng.randint(1, n_max))
+        for cl in hull_builder.build(pts, m).clusters:
+            yield pts, cl
+
+
+def _planted(rng: random.Random, m: MetricParams) -> List[Point]:
+    """Generators with L(b) == R(a) exactly: pairs at gap zero, which the
+    sweep's cut (L(b) < R(a)) must still hand to the predicate."""
+    t = m.tan_alpha
+    out: List[Point] = []
+    while len(out) < 6:
+        a = Point(rng.uniform(-10.0, 10.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 5.0))
+        yb = rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 5.0)
+        b = Point(a.x + abs(a.y) * t + abs(yb) * t, yb)
+        if b.x - abs(b.y) * t == a.x + abs(a.y) * t:
+            out += [a, b]
+    return out
+
+
+def test_sweep_matches_pair_loop_bit_for_bit():
+    rng = random.Random(77)
+    clusters = riding = 0
+    for p in helpers.P_GRID:
+        for v in helpers.V_GRID:
+            m = MetricParams.make(p, v)
+            for _ in range(3):
+                for _, cl in _clusters(rng, m, 40):
+                    gens = boundary_of(cl)
+                    want = reference_footprint(gens, m)
+                    assert repr(footprint(gens, m)) == repr(want), (p, v, gens)
+                    assert repr(cl.footprint) == repr(want), (p, v, gens)
+                    clusters += 1
+                    riding += want is not None
+                planted = _planted(rng, m)
+                for gens in (planted, planted[:1], list(reversed(planted))):
+                    assert repr(footprint(gens, m)) == repr(reference_footprint(gens, m))
+    assert clusters >= 1000 and riding >= 300
+
+
+def test_signed_zero_tie_keeps_the_pair_loops_sign():
+    # L = -0.0 for (-0.0, 0.0) beside L = 0.0 for (0.0, 2.0), both maximal
+    m = MetricParams.make(3.0, INF)
+    for gens in (
+        [Point(-1.0, 3.0), Point(0.0, 2.0), Point(-1.0, 0.0), Point(-0.0, 0.0),
+         Point(-1.0, -3.0), Point(-0.0, -1.0), Point(0.0, -3.0)],
+        [Point(-1.0, 3.0), Point(-0.0, 3.0), Point(0.0, 0.0), Point(-1.0, -2.0),
+         Point(-0.0, -1.0), Point(0.0, -2.0)],
+    ):
+        want = reference_footprint(gens, m)
+        assert want is not None and want[1] == 0.0
+        assert repr(footprint(gens, m)) == repr(want)
+
+
+def test_boundary_footprints_match_all_member_pairs():
+    # at p = inf the generators are box_point frame round trips, an ulp off
+    # the members, hence the tolerance
+    rng = random.Random(78)
+    compared = 0
+    for p in helpers.P_GRID:
+        for v in helpers.V_GRID:
+            m = MetricParams.make(p, v)
+            for pts, cl in _clusters(rng, m, 24):
+                members = list(dict.fromkeys(pts[i] for i in cl.member_indices))
+                want = reference_footprint(members, m)
+                got = cl.footprint
+                assert (got is None) == (want is None), (p, v, members)
+                if got is not None:
+                    tol = 1e-9 * max(1.0, max(max(abs(q.x), abs(q.y)) for q in members))
+                    assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
+                compared += 1
+    assert compared >= 500
+
+
+# -- call-count guard -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", [_arc, _cup])
+def test_convex_position_footprints_stop_early(counted, family):
+    # one cluster holding every point; the pair loop made 130,816
+    # highway_time calls here
+    m = MetricParams.make(2.0, 2.0)
+    tch = hull_builder.build(family(random.Random(5), 512), m)
+    (cl,) = tch.clusters
+    h = len(boundary_of(cl))
+    assert h == 512
+    counted["walk"] = 0
+    hull_builder.footprints_and_bridges(tch)
+    assert cl.footprint is not None
+    assert counted["walk"] <= 4 * h

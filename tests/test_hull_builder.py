@@ -191,9 +191,16 @@ def test_partition_matches_exhaustive_reference():
     assert not mismatches
 
 
+def _by_members(tch):
+    return {tuple(c.member_indices): c.footprint for c in tch.clusters}
+
+
 def test_partition_invariances():
+    # partitions under permutation, x-translation, mirrors and 2^+-20
+    # scaling; footprints and bridges exactly under the mirrors and scaling
     rng = random.Random(9)
-    for seed in range(8):
+    footprints = 0
+    for seed in range(60):
         pts, m, want = helpers.tie_free_instance(100 + seed)
         n = len(pts)
         perm = list(range(n))
@@ -206,10 +213,23 @@ def test_partition_invariances():
         assert mapped == want
         dx = rng.uniform(-30.0, 30.0)
         assert helpers.build_partition([Point(q.x + dx, q.y) for q in pts], m) == want
-        assert helpers.build_partition([Point(q.x, -q.y) for q in pts], m) == want
-        assert helpers.build_partition([Point(-q.x, q.y) for q in pts], m) == want
+        base = hull_builder.build(pts, m)
+        fps = _by_members(base)
+        footprints += sum(f is not None for f in fps.values())
+        ymir = hull_builder.build([Point(q.x, -q.y) for q in pts], m)
+        assert _by_members(ymir) == fps and ymir.bridges == base.bridges
+        xmir = hull_builder.build([Point(-q.x, q.y) for q in pts], m)
+        assert _by_members(xmir) == {
+            c: None if f is None else (-f[1], -f[0]) for c, f in fps.items()
+        }
+        assert xmir.bridges == [(-b, -a) for a, b in reversed(base.bridges)]
         for s in (2.0**20, 2.0**-20):
-            assert helpers.build_partition([Point(s * q.x, s * q.y) for q in pts], m) == want
+            scaled = hull_builder.build([Point(s * q.x, s * q.y) for q in pts], m)
+            assert _by_members(scaled) == {
+                c: None if f is None else (s * f[0], s * f[1]) for c, f in fps.items()
+            }
+            assert scaled.bridges == [(s * a, s * b) for a, b in base.bridges]
+    assert footprints >= 30
 
 
 def test_exponent_near_one_fails_only_with_typed_errors():

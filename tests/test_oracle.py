@@ -68,7 +68,7 @@ def test_edge_probe_agrees_with_builder_probe():
                 if margin < 1e-9:
                     continue
                 checked += 1
-                got = hull_builder._point_in_edge_region(u, a, b, m)
+                got = hull_builder._point_in_edge_region(u, a, b, m, hull_builder.EPS_REGION)
                 disagreements += got != want
     assert checked > 150 and disagreements == 0
 
