@@ -378,23 +378,23 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams, eps: fl
     return False
 
 
-def _edge_reach(m: MetricParams, k: float, x_abs: float) -> Tuple[float, float]:
+def _edge_reach(m: MetricParams, k: float, x_abs: float, eps: float) -> Tuple[float, float]:
     """(kr, dr) such that u with u.x outside [min(ax, bx) - R, max(ax, bx) + R],
     R = kr (|uy| + max(|ay|, |by|)) + dr, is in the walking region of no
-    point of edge ab, as `_point_in_edge_region` decides in floats; x_abs
-    bounds every |x|.
+    point of edge ab, as `_point_in_edge_region` decides in floats with
+    tolerance eps; x_abs bounds every |x|.
 
     By the linear-margin lemma of `reach_coefficient` every edge point has
     direct - highway >= (1 - 1/v) (|dx| - k Y); the slack beyond k Y covers
-    the edge-region tolerance (at most EPS_REGION) twice plus the float
-    error of the differences (relative to the heights, absolute from the
-    abscissae of the highway gap).  A bare relative slack k Y (1 + 1e-9) is
+    the edge-region tolerance eps twice plus the float error of the
+    differences (relative to the heights, absolute from the abscissae of
+    the highway gap).  A bare relative slack k Y (1 + 1e-9) is
     not enough: at v -> 1 with |x| ~ 1e8, rounding links points up to
     1e-4 k Y past k Y.
     """
     w = 1.0 - m.inv_v
     kr = k * (1.0 + 1e-9) + 64.0 * FLOAT_EPS * (k + m.descent_cost) / w
-    dr = (2.0 * EPS_REGION + 64.0 * FLOAT_EPS * x_abs) / w
+    dr = (2.0 * eps + 64.0 * FLOAT_EPS * x_abs) / w
     return kr, dr
 
 
@@ -473,15 +473,6 @@ def _x_abs(groups: Sequence[Group]) -> float:
     return max(abs(p.x) for pts, _ in groups for p in pts)
 
 
-def _region_eps(groups: Sequence[Group]) -> float:
-    """Edge-region tolerance for the join: EPS_REGION, scaled down with
-    the largest |coordinate| when that is under 1.  An absolute tolerance
-    swallows every difference at coordinates of 1e-100 and merges
-    components that walk nowhere."""
-    c = max(max(abs(p.x), abs(p.y)) for pts, _ in groups for p in pts)
-    return EPS_REGION * min(1.0, c)
-
-
 def _link_member_pairs(groups: Sequence[Group], n_above: int, uf: _UnionFind, m: MetricParams) -> None:
     """Stage 1: union groups 0..n_above-1 (above) with the rest (below)
     through member pairs that walk.
@@ -538,10 +529,16 @@ def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) 
     only pairs with a changed side are retested.  Unions do not depend on
     the order pairs are tested in, so every round ends with the partition
     that testing every pair would give.
+
+    The edge-region tolerance is EPS_REGION, scaled down with the largest
+    |coordinate| c when that is under 1: an absolute tolerance swallows
+    every difference at coordinates of 1e-100 and merges components that
+    walk nowhere.  c also bounds |x| for the reach box.
     """
     k = reach_coefficient(m)
-    kr, dr = _edge_reach(m, k, _x_abs(groups))
-    eps = _region_eps(groups)
+    c = max(max(abs(p.x), abs(p.y)) for pts, _ in groups for p in pts)
+    eps = EPS_REGION * min(1.0, c)
+    kr, dr = _edge_reach(m, k, c, eps)
     find = uf.find
     comps: Dict[int, _Component] = {}
     fresh: Optional[set] = None  # roots rebuilt this round; None: all
@@ -624,8 +621,8 @@ def _cluster_footprint(
     partner further on.  `hi` is the mirror sweep, in descending L with the
     partners in ascending R.  Every other pair is decided by the predicate
     itself, so the result is the pair loop's to the bit; where the loop's
-    max kept the first of a -0.0 / 0.0 tie, that tie is resolved in its
-    (a, b) order.  Calls are one per pair with a non-negative gap up to the
+    max kept the first of a -0.0 / 0.0 tie (both zeros among the L), that
+    tie is resolved in its (a, b) order.  Calls are one per pair with a non-negative gap up to the
     first riding one: 2 on a 512-point arc, every such pair when nothing
     rides.
     """
@@ -646,7 +643,7 @@ def _cluster_footprint(
         return None
     hi = next(lefts[j] for j in by_l
               if any(rides(i, j) for i in takewhile(lambda i: rights[i] <= lefts[j], by_r)))
-    if hi == 0.0:
+    if hi == 0.0 and len({math.copysign(1.0, x) for x in lefts if x == 0.0}) == 2:
         i, j = min((i, j) for j in range(n) if lefts[j] == 0.0
                    for i in range(n) if rights[i] <= 0.0 and rides(i, j))
         hi = lefts[j]

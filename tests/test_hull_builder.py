@@ -214,6 +214,7 @@ def test_partition_invariances():
         dx = rng.uniform(-30.0, 30.0)
         assert helpers.build_partition([Point(q.x + dx, q.y) for q in pts], m) == want
         base = hull_builder.build(pts, m)
+        assert helpers.canon(c.member_indices for c in base.clusters) == want
         fps = _by_members(base)
         footprints += sum(f is not None for f in fps.values())
         ymir = hull_builder.build([Point(q.x, -q.y) for q in pts], m)
