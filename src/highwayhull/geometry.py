@@ -6,10 +6,11 @@ discriminating curve is 1-homogeneous in (horizontal offset, generator
 height, ordinate), so the curve of (xq, yq) is the curve of (0, 1) scaled
 by |yq| about (xq, 0).  Both tangency conditions of a common tangent
 therefore pull back to one condition on the unit curve: the tangent line
-there must pass through the pivot (-dx/dy, 0).  The signed clearance of
-that line at the pivot is the same quantity as the tangent's clearance to
-the second curve, so a single bracketed root-find replaces the nested
-two-curve bisection while meeting the same residual contract.
+there must pass through the pivot (-dx/dy, 0).  In polar form about the
+generator the unit curve is explicit, a focus-directrix curve whose point,
+normal and tangent depend on the direction alone, so each tangent is one
+root-find over a compact range of directions, with no inner curve solve
+(see _unit_tangency).
 
 All curve work happens in the upper half-plane (generator heights are
 taken as |y|); callers handling the lower side mirror their inputs.
@@ -17,26 +18,28 @@ taken as |y|); callers handling the lower side mirror their inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import brentq
 
 from .metric import (
+    INF,
     DiscriminatingCurve,
     InvalidInputError,
     MetricParams,
     NumericError,
     Point,
-    _implicit_slope,
     box_coords,
     box_point,
-    disc_curve_y,
 )
 
-TANGENT_XTOL = 1e-13
-_ENTRY_STEP = 1e-9
-_MAX_EXPANSIONS = 120
+# the tangency search runs over a logit of the angle in [-span, span]:
+# angles to the ends of an arc half are resolved down to e^-span of it
+_LOGIT_SPAN = 700.0
+# finite stand-in for log(0) in the tangency search, beyond any log ratio
+_LOG_SENTINEL = 1e4
 
 
 def _cross(o: Point, a: Point, b: Point) -> float:
@@ -189,50 +192,158 @@ def closure_hull(members: Sequence[Point], m: MetricParams) -> ClosureHull:
 # -- common tangents ---------------------------------------------------------
 
 
+def _pow_step(x: float, xe: float, y: float, dxy: float, e: float) -> float:
+    """y**e - xe for x, y >= 0 and xe = x**e, from the offset dxy = y - x,
+    without cancellation when y is near x.  x == 0 stands for a share that
+    underflowed while its power xe did not."""
+    if x == 0.0:
+        return y**e - xe
+    r = dxy / x
+    if r > -0.5:
+        return xe * math.expm1(e * math.log1p(r))
+    return y**e - xe
+
+
+def _young_gap(x: float, xe: float, y: float, dxy: float, p: float) -> float:
+    """Slack x/q + y/p - xe y**(1/p) >= 0 of Young's inequality (1/p + 1/q
+    = 1, xe = x**(1/q)), from the offset dxy = y - x; zero iff x == y."""
+    if x != 0.0:
+        r = dxy / x
+        if abs(r) < 0.5:
+            return x * (r / p - math.expm1(math.log1p(r) / p))
+    return x * (1.0 - 1.0 / p) + y / p - xe * y ** (1.0 / p)
+
+
 def _unit_tangency(m: MetricParams, pivot_x: float) -> Tuple[float, float, float]:
     """(abscissa, ordinate, slope) of the point on the left curve of (0, 1)
     whose tangent line passes through (pivot_x, 0); pivot strictly left of
-    the entry point."""
-    entry = -m.tan_alpha
+    the entry point.
+
+    Polar form.  With G = (0, 1), kappa = c - t/v and a direction u from G,
+    the curve point is G + r u with r = 2 kappa / (|u|_p - w.u), w =
+    (-1/v, kappa): the equality direct = highway is linear in r.  By the
+    definition of alpha, w lies on the unit sphere of the dual norm
+    (q = p/(p-1)) and is the gradient of |.|_p at u* = (-t, 1), so the
+    denominator is a Bregman gap of the p-norm: 1-homogeneous in u, zero at
+    the asymptote u* and 2 kappa at the entry direction (-t, -1), where
+    r = 1 reaches the entry (-t, 0).  The normal at G + r u is n = g(u) - w,
+    g the gradient of |.|_p, a function of u alone; by Euler's identity
+    u.n is the same gap, so the tangent at u meets the axis at
+    X(u) = (2 kappa + n_y) / n_x, which falls monotonically from -t at the
+    entry to -inf at the asymptote.  The solve is one brentq for
+    X(u) = pivot_x over the direction.
+
+    Conditioning.  A far pivot puts the root next to the asymptote, where n
+    and the gap are differences of nearly equal O(1) terms; a pivot near
+    the entry does the same to n_x.  A direction is therefore held by its
+    p-th power share nu = |u_x|^p / |u|_p^p and the offset nu - nu_e from
+    the share nu_e of (-t, +-1), formed from the angle to that end
+    direction.  n comes from expm1/log1p power steps and the gap from two
+    Young slacks, both free of cancellation, with w = (-nu_e^(1/q),
+    (1 - nu_e)^(1/q)) taken from t, so the gap is exactly zero at u* and no
+    float ** of 1/(p-1) is formed.  When t underflows (p -> 1+), w_x keeps
+    its value 1/v.  The search runs over each half of the arc, below and
+    above the leftward direction (-1, 0), in a logit of the angle, so the
+    angle to either end of the half is resolved relatively down to e^-700
+    of it.  A sign change closer than that to the leftward direction is a
+    corner of the curve (p -> 1+), and the corner's supporting line through
+    the pivot is returned; one closer than that to the entry collapses the
+    tangent onto the highway; one closer than that to the asymptote is a
+    tangency beyond float range and raises NumericError.
+    """
+    t, p = m.tan_alpha, m.p
+    entry = -t
     if pivot_x >= entry:
         raise InvalidInputError("pivot must lie strictly left of the unit entry")
-    unit = DiscriminatingCurve(Point(0.0, 1.0), "left", m)
-
-    def clearance(x: float) -> float:
-        y = disc_curve_y(unit, x)
-        if y is None:
-            raise NumericError("unit curve undefined inside its own domain")
-        s = -_implicit_slope(-x, y, 1.0, m)
-        return y - s * (x - pivot_x)
-
-    step = _ENTRY_STEP * max(1.0, abs(entry), abs(pivot_x))
-    hi = entry - step
-    if clearance(hi) <= 0.0:
-        # tangency collapses onto the entry point; the tangent is the highway
-        return entry, 0.0, 0.0
-    lo = hi
-    for _ in range(_MAX_EXPANSIONS):
-        step *= 2.0
-        lo = entry - step
-        try:
-            c = clearance(lo)
-        except NumericError:
-            raise NumericError(
-                "tangency bracket failed: pivot=%r p=%r v=%r at x=%r"
-                % (pivot_x, m.p, m.v, lo)
-            )
-        if c <= 0.0:
-            break
-        hi = lo
+    e = 1.0 - 1.0 / p
+    far = -pivot_x
+    # p-th power shares of (-t, +-1) and of its complement; w = (-wx, wy)
+    if t <= 1.0:
+        tp = t**p
+        ne, ce = tp / (1.0 + tp), 1.0 / (1.0 + tp)
     else:
+        tp = t**-p
+        ne, ce = 1.0 / (1.0 + tp), tp / (1.0 + tp)
+    # t underflows as p -> 1+ while wx = (t / c)^(p - 1) stays 1/v
+    wx, wy = (ne**e if ne > 0.0 else m.inv_v), ce**e
+    gam = math.atan2(1.0, t)
+    hyp = math.hypot(1.0, t)
+
+    def state(z: float) -> Tuple[float, float, float, float, float]:
+        # psi: angle to the half's end; beta: angle to the leftward direction
+        psi = gam / (1.0 + math.exp(-z))
+        beta = gam / (1.0 + math.exp(z))
+        a = (t * math.cos(psi) + math.sin(psi)) / hyp  # cos(beta), from psi
+        b = math.sin(beta)
+        if a >= b:
+            rho = (b / a) ** p
+            nu, cnu = 1.0 / (1.0 + rho), rho / (1.0 + rho)
+        else:
+            rho = (a / b) ** p
+            nu, cnu = rho / (1.0 + rho), 1.0 / (1.0 + rho)
+        x = t * b / a  # (t b / a)^p = 1 - (nu - ne) / (nu ce)
+        if x <= 0.5:
+            lead = 1.0 - x**p
+        else:
+            lead = -math.expm1(p * math.log1p(-hyp * math.sin(psi) / a))
+        m1 = nu * ce * lead
+        gx = _pow_step(ne, wx, nu, m1, e)  # -n_x >= 0
+        gy = -_pow_step(ce, wy, cnu, -m1, e)  # kappa - |g_y| >= 0
+        return nu, cnu, m1, gx, gy
+
+    def axis_gap(z: float, upper: bool) -> float:
+        # log(|X(u)| / |pivot|): negative while the tangent meets the axis
+        # right of the pivot
+        _, _, _, gx, gy = state(z)
+        num = 2.0 * wy - gy if upper else gy
+        if num == 0.0:
+            return -_LOG_SENTINEL
+        den = far * gx
+        if den == 0.0:
+            return _LOG_SENTINEL
+        g = math.log(num) - math.log(den)
+        if g != g:
+            raise NumericError(
+                "tangency clearance is NaN: pivot=%r p=%r v=%r" % (pivot_x, m.p, m.v)
+            )
+        return g
+
+    span = _LOGIT_SPAN
+    if axis_gap(span, True) < 0.0:
+        upper = True
+        if axis_gap(-span, True) <= 0.0:
+            raise NumericError(
+                "tangency beyond float range: pivot=%r p=%r v=%r" % (pivot_x, m.p, m.v)
+            )
+    elif axis_gap(span, False) > 0.0:
+        upper = False
+        if axis_gap(-span, False) >= 0.0:
+            # tangency within float resolution of the entry: the highway
+            return entry, 0.0, 0.0
+    else:
+        # the sign changes at the leftward corner: its supporting line
+        xr = -2.0 * wy / (1.0 - wx)
+        return xr, 1.0, 1.0 / (xr - pivot_x)
+    try:
+        z = float(brentq(axis_gap, -span, span, args=(upper,), xtol=1e-14, maxiter=200))
+    except RuntimeError:
         raise NumericError(
-            "tangency clearance kept its sign: pivot=%r p=%r v=%r" % (pivot_x, m.p, m.v)
+            "tangency solve did not converge: pivot=%r p=%r v=%r" % (pivot_x, m.p, m.v)
         )
-    xr = float(brentq(clearance, lo, hi, xtol=TANGENT_XTOL, maxiter=200))
-    eta = disc_curve_y(unit, xr)
-    if eta is None:
-        raise NumericError("tangency ordinate undefined at the root")
-    sig = -_implicit_slope(-xr, eta, 1.0, m)
+    nu, cnu, m1, gx, gy = state(z)
+    # (|u|_p - w.u) / |u|_p for u = (-|u_x|, -|u_y|) and (-|u_x|, |u_y|):
+    # `near` (two Young slacks) vanishes at the half's end direction, and
+    # the ordinate 1 +- r |u_y| of the curve point is the ratio of the two
+    near = _young_gap(ne, wx, nu, m1, p) + _young_gap(ce, wy, cnu, -m1, p)
+    away = 1.0 - wx * nu ** (1.0 / p) + wy * cnu ** (1.0 / p)
+    gap, rest, ny = (near, away, gy) if upper else (away, near, 2.0 * wy - gy)
+    xr = -2.0 * wy * nu ** (1.0 / p) / gap if gap > 0.0 else -INF
+    eta = rest / gap if gap > 0.0 else INF
+    sig = -gx / ny if ny > 0.0 else -INF
+    if not (math.isfinite(xr) and math.isfinite(eta) and math.isfinite(sig)):
+        raise NumericError(
+            "tangency beyond float range: pivot=%r p=%r v=%r" % (pivot_x, m.p, m.v)
+        )
     return xr, eta, sig
 
 

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
-from highwayhull import hull_builder
+from highwayhull import geometry, hull_builder, metric
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -9,18 +11,36 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts the predicate calls made through hull_builder's bindings."""
-    counts = {"walk": 0, "edge": 0}
-    walk, edge = hull_builder.in_walking_region, hull_builder._point_in_edge_region
+    """Counts calls made through module bindings: hull_builder's predicates
+    ("walk", "edge"), metric's curve solve and implicit slope ("curve",
+    "slope"), geometry's tangent solves ("tangent"), and geometry's brentq
+    calls with the function evaluations they make ("brentq", "evals")."""
+    counts = Counter()
 
-    def counted_walk(*args):
-        counts["walk"] += 1
-        return walk(*args)
+    def count(owner, name, key):
+        fn = getattr(owner, name)
 
-    def counted_edge(*args):
-        counts["edge"] += 1
-        return edge(*args)
+        def counted_fn(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(hull_builder, "in_walking_region", counted_walk)
-    monkeypatch.setattr(hull_builder, "_point_in_edge_region", counted_edge)
+        monkeypatch.setattr(owner, name, counted_fn)
+
+    count(hull_builder, "in_walking_region", "walk")
+    count(hull_builder, "_point_in_edge_region", "edge")
+    count(metric, "_curve_generic", "curve")
+    count(metric, "_implicit_slope", "slope")
+    count(geometry, "_unit_tangency", "tangent")
+    brentq = geometry.brentq
+
+    def counted_brentq(f, *args, **kwargs):
+        counts["brentq"] += 1
+
+        def counted_f(*a):
+            counts["evals"] += 1
+            return f(*a)
+
+        return brentq(counted_f, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "brentq", counted_brentq)
     return counts

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+from highwayhull import geometry
 from highwayhull.geometry import (
     QuerySegment,
     closure_hull,
@@ -19,12 +20,15 @@ from highwayhull.geometry import (
     upper_hull,
 )
 from highwayhull.metric import (
+    FLOAT_EPS,
     INF,
     DiscriminatingCurve,
     InvalidInputError,
     MetricParams,
+    NumericError,
     Point,
     disc_curve_y,
+    lp_distance,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -271,6 +275,82 @@ def test_right_tangency_points_lie_on_right_curves():
         on_lo = disc_curve_y(DiscriminatingCurve(lo, "right", m), t_lo.x)
         assert abs(on_hi - t_hi.y) < TANGENCY_TOL * (1.0 + t_hi.y)
         assert abs(on_lo - t_lo.y) < TANGENCY_TOL * (1.0 + t_lo.y)
+
+
+def _ordinate_slack(m, x, y):
+    """Float uncertainty of the unit curve's ordinate near (x, y): the
+    rounding of direct - highway over its y-derivative.  That derivative
+    vanishes toward the asymptote; below 1e-8 it is itself mostly rounding
+    and the float curve does not fix its ordinate (INF)."""
+    d = lp_distance(Point(0.0, 1.0), Point(x, y), m.p)
+    kappa = m.descent_cost - m.tan_alpha * m.inv_v
+    fy = math.copysign((abs(y - 1.0) / d) ** (m.p - 1.0), y - 1.0) - kappa
+    if abs(fy) < 1e-8:
+        return INF
+    return 64.0 * FLOAT_EPS * (d + (1.0 + y) * kappa + abs(x) * m.inv_v) / abs(fy)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.3, 2.0, 3.0, 7.0, 50.0])
+@pytest.mark.parametrize("v", [1.01, 1.1, 2.0, 5.0, INF])
+def test_unit_tangency_touches_the_curve_through_the_pivot(p, v):
+    # pivots from 1e-6 to 1e8 left of the unit entry; the curve's ordinates
+    # come from the bracketed solver, checked to 1e-9 relative plus their
+    # own float uncertainty wherever that solver answers and the float
+    # curve fixes the ordinate
+    m = MetricParams.make(p, v)
+    unit = DiscriminatingCurve(Point(0.0, 1.0), "left", m)
+    entry = -m.tan_alpha
+    touched = 0
+    for k in range(-6, 9):
+        pivot = entry - 10.0**k
+        xr, yr, s = geometry._unit_tangency(m, pivot)
+        assert xr < pivot and yr >= 0.0 and s <= 0.0
+        assert abs(yr - s * (xr - pivot)) <= 1e-12 * max(1.0, abs(xr), abs(yr))
+        for f in (1.0, 1e-3, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0):
+            x = xr if f == 1.0 else entry + (xr - entry) * f
+            try:
+                y = disc_curve_y(unit, x, method="generic")
+            except NumericError:
+                continue
+            if y is None:
+                continue
+            slack = 1e-9 * max(1.0, abs(x), abs(y)) + _ordinate_slack(m, x, y)
+            if slack == INF:
+                continue
+            line = yr + s * (x - xr)
+            if f == 1.0:
+                assert abs(y - yr) <= slack, (k, x, y, yr)
+                touched += 1
+            else:
+                assert y >= line - slack, (k, x, y, line)
+    assert touched >= 5
+
+
+@pytest.mark.parametrize("p", [1.05, 1.3, 2.0, 7.0, 50.0])
+@pytest.mark.parametrize("v", [1.01, 2.0, INF])
+def test_unit_tangency_next_to_the_entry_stays_at_the_entry(p, v):
+    # a pivot a few ulps left of the entry: the tangent is the highway to
+    # float resolution, or exactly when the solve cannot part the two
+    m = MetricParams.make(p, v)
+    entry = -m.tan_alpha
+    pivot = entry
+    for _ in range(3):
+        pivot = math.nextafter(pivot, -INF)
+        xr, yr, s = geometry._unit_tangency(m, pivot)
+        assert xr <= entry and 0.0 <= yr <= 1e-12 and -1e-12 <= s <= 0.0
+        assert abs(yr - s * (xr - pivot)) <= 1e-12
+
+
+def test_unit_tangency_touches_the_corner_of_a_near_l1_curve():
+    # at p = 1 + 1e-7 alpha underflows and, to float precision, the unit
+    # curve is the L1 one: the ray y = |x| / 6 (v = 1.5) from the entry
+    # (0, 0) to the corner (-6, 1), then a vertical wall; pivots between
+    # the corner's supporting lines touch the corner
+    m = MetricParams.make(1.0 + 1e-7, 1.5)
+    for pivot in (-0.5, -3.9, -5.9):
+        xr, yr, s = geometry._unit_tangency(m, pivot)
+        assert abs(xr + 6.0) <= 1e-9 and yr == 1.0
+        assert abs(yr - s * (xr - pivot)) <= 1e-12
 
 
 # -- query segments ----------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.geometry import common_tangent
+from highwayhull.geometry import common_tangent, right_edge_tangent
 from highwayhull.metric import (
     INF,
     DiscriminatingCurve,
@@ -106,12 +106,71 @@ def test_build_input_validation():
 
 
 def test_tangent_collapsed_onto_highway_is_skipped():
-    # the right tangent of the edge (-5, 3)-(-4, 1) collapses onto the
-    # highway: a band of zero height and zero slope, which locate skips
+    # the right tangent of the edge (-5, 3)-(-4, 1) runs under 1e-16 above
+    # the highway (p = 50: the curves leave their entries as |x|^50)
     m = MetricParams.make(50.0, INF)
     pts = [Point(-4.0, 1.0), Point(-2.0, 0.0), Point(-5.0, 3.0)]
     assert helpers.build_partition(pts, m) == ((0, 2), (1,))
     assert helpers.canon(oracle.cluster(pts, m).partition) == ((0, 2), (1,))
+    # an edge whose pivot lies an ulp left of the entry: its tangent
+    # collapses onto the highway, a band of zero height and zero slope
+    # that locate skips for the highway point (2, 0)
+    m = MetricParams.make(2.0, 2.0)
+    dx = math.nextafter(2.0 * m.tan_alpha, INF)
+    assert right_edge_tangent(Point(0.0, 3.0), Point(dx, 1.0), m)[2] == 0.0
+    pts = [Point(dx, 1.0), Point(2.0, 0.0), Point(0.0, 3.0)]
+    assert helpers.build_partition(pts, m) == ((0, 2), (1,))
+    assert helpers.canon(oracle.cluster(pts, m).partition) == ((0, 2), (1,))
+
+
+def test_tangent_near_p_one_matches_oracle():
+    # an edge whose tangent a curve-ordinate solve inside the tangent search
+    # would meet as NaN (a scipy ValueError from brentq)
+    m = MetricParams.make(1.05, 5.0)
+    pts = [
+        Point(16.603932884706435, 3.1463386006678977),
+        Point(12.71167258689557, 3.1270042398507827),
+        Point(3.916161619528951, 3.741735542212447),
+    ]
+    want = helpers.canon(oracle.cluster(pts, m).partition)
+    assert want == ((0, 1), (2,))
+    assert helpers.build_partition(pts, m) == want
+
+
+@pytest.mark.parametrize("p", [1.3, 2.0, 7.0])
+@pytest.mark.parametrize("d", [2e-6, 2e-8, 2e-10, 2e-12])
+def test_far_pivot_tangents_match_oracle(p, d):
+    # the edge (0, 100)-(200, 100 - d) puts the unit pivot at -200 / d, so
+    # its tangency lies next to the curve's asymptote
+    m = MetricParams.make(p, 2.0)
+    pts = [Point(0.0, 100.0), Point(200.0, 100.0 - d), Point(350.0, 1.0)]
+    want = helpers.canon(oracle.cluster(pts, m).partition)
+    assert want == ((0, 1), (2,))
+    try:
+        got = helpers.build_partition(pts, m)
+    except NumericError as ex:
+        # beyond the float range of the polar solve; typed, with context
+        assert p == 2.0 and d <= 2e-10, ex
+        assert "p=%r v=%r" % (p, 2.0) in str(ex)
+        return
+    assert got == want
+
+
+def _strip(rng, n):
+    lo, hi = math.log(0.05), math.log(5.0)
+    return [Point(rng.uniform(0.0, float(n)), math.exp(rng.uniform(lo, hi))) for _ in range(n)]
+
+
+def test_strip_tangents_make_no_curve_solves(counted):
+    # each tangent is one brentq over the direction, with no curve solve
+    # inside it
+    tch = hull_builder.build(_strip(random.Random(11), 2048), MetricParams.make(1.3, 2.0))
+    solves = counted["tangent"]
+    assert solves > 100 and len(tch.clusters) > 50
+    assert counted["curve"] == 0
+    assert counted["slope"] <= 40 * solves
+    assert counted["brentq"] <= solves
+    assert counted["evals"] <= 40 * solves
 
 
 # -- exposure captures: points governed by grown boundary pieces -------------------
