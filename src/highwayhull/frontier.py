@@ -5,14 +5,20 @@ clusters sit in one left-to-right list and each arrival scans it right to
 left.  The scan stops once the reach bound q.x - right_x > K*(ymax + q.y)
 proves that no cluster at or left of the current one can contain the
 arrival (K is the metric's reach coefficient and ymax a prefix maximum),
-which keeps the scan short on anything but adversarial inputs.
+which keeps the scan short on anything but adversarial inputs.  The break
+is the bare K*Y bound, which rounding oversteps at v -> 1 (a pair just
+beyond it can still walk in floats), so there it can end the scan before
+a cluster the float predicate would accept.
 
 Membership against one cluster is decided by predicates on its governing
 generators: the box metrics are covered by a single corner (the right box
 corner for p=1, the diamond apex for p=inf), convex closures by the
 top..rightmost subchain of the upper hull plus, for each negative-slope
 edge there, the tangent bulge band of the edge's walking region.  Tangents
-are computed lazily and cached per edge.
+are computed lazily and cached per edge.  A box entry is skipped without
+its corner test when q.x - right_x > kr*(ymax + q.y) + dr, the rounding-
+widened reach of `metric.reach_slack`: a corner that far away fails the
+float predicate too, so skipping it never changes an answer.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .geometry import right_edge_tangent
-from .metric import INF, MetricParams, Point, in_walking_region, reach_coefficient
+from .metric import INF, MetricParams, Point, in_walking_region, reach_coefficient, reach_slack
 
 _MISSING = object()
 
@@ -62,11 +68,13 @@ class EnvelopeEntry:
 
 
 class Frontier:
-    """Single-writer mutable structure; one instance per build."""
+    """Single-writer mutable structure; one instance per build.  x_abs
+    bounds |x| of every arrival and every box corner."""
 
-    def __init__(self, m: MetricParams):
+    def __init__(self, m: MetricParams, x_abs: float):
         self.params = m
         self._k = reach_coefficient(m)
+        self._kr, self._dr = reach_slack(m, x_abs)
         self.live: List[EnvelopeEntry] = []
         self._last_x = -INF
 
@@ -89,11 +97,14 @@ class Frontier:
             )
         self._last_x = q.x
         best = None
-        k = self._k
+        k, kr, dr = self._k, self._kr, self._dr
         for i in range(len(self.live) - 1, -1, -1):
             e = self.live[i]
             if q.x - e.right_x > k * (e.pmax_y + q.y):
                 break
+            # the corner lies at or left of right_x, at height ymax
+            if e.right_corner is not None and q.x - e.right_x > kr * (e.ymax + q.y) + dr:
+                continue
             if self._entry_hits(e, q):
                 best = i
         return best

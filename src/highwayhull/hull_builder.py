@@ -51,7 +51,6 @@ from .geometry import (
     push_upper,
 )
 from .metric import (
-    FLOAT_EPS,
     INF,
     InvalidInputError,
     MetricParams,
@@ -63,6 +62,7 @@ from .metric import (
     in_walking_region,
     lp_distance,
     reach_coefficient,
+    reach_slack,
 )
 
 EPS_REGION = 1e-12
@@ -122,9 +122,9 @@ class _SideBuilder:
         self.pts = pts
         self.ids = ids
         self.m = m
-        self.frontier = Frontier(m)
+        self.frontier = Frontier(m, max(abs(pts[0].x), abs(pts[-1].x)) if pts else 0.0)
         self.tree = None
-        self.x_floor = (min(p.x for p in pts) - 1.0) if pts else 0.0
+        self.x_floor = (pts[0].x - 1.0) if pts else 0.0
         self.kind = m.closure_kind
         # the exposing corner: the box's upper left for p = 1, the apex for p = inf
         self.apex_exposes = self.kind == "diamond_box"
@@ -204,7 +204,7 @@ class _SideBuilder:
         for v in right.lower:
             push_lower(left.lower, v)
         # bridge edge joins the survivors of the two original chains
-        s = bisect_right([p.x for p in left.chain], old_right_x)
+        s = bisect_right(left.chain, old_right_x, key=lambda p: p.x)
         if 0 < s < len(left.chain):
             a, b = left.chain[s - 1], left.chain[s]
             if b.y > a.y:
@@ -378,26 +378,6 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams, eps: fl
     return False
 
 
-def _edge_reach(m: MetricParams, k: float, x_abs: float, eps: float) -> Tuple[float, float]:
-    """(kr, dr) such that u with u.x outside [min(ax, bx) - R, max(ax, bx) + R],
-    R = kr (|uy| + max(|ay|, |by|)) + dr, is in the walking region of no
-    point of edge ab, as `_point_in_edge_region` decides in floats with
-    tolerance eps; x_abs bounds every |x|.
-
-    By the linear-margin lemma of `reach_coefficient` every edge point has
-    direct - highway >= (1 - 1/v) (|dx| - k Y); the slack beyond k Y covers
-    the edge-region tolerance eps twice plus the float error of the
-    differences (relative to the heights, absolute from the abscissae of
-    the highway gap).  A bare relative slack k Y (1 + 1e-9) is
-    not enough: at v -> 1 with |x| ~ 1e8, rounding links points up to
-    1e-4 k Y past k Y.
-    """
-    w = 1.0 - m.inv_v
-    kr = k * (1.0 + 1e-9) + 64.0 * FLOAT_EPS * (k + m.descent_cost) / w
-    dr = (2.0 * eps + 64.0 * FLOAT_EPS * x_abs) / w
-    return kr, dr
-
-
 @dataclass
 class _Component:
     """Boundary of one cross-side component: generators, edges with their
@@ -538,7 +518,7 @@ def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) 
     k = reach_coefficient(m)
     c = max(max(abs(p.x), abs(p.y)) for pts, _ in groups for p in pts)
     eps = EPS_REGION * min(1.0, c)
-    kr, dr = _edge_reach(m, k, c, eps)
+    kr, dr = reach_slack(m, c, eps)
     find = uf.find
     comps: Dict[int, _Component] = {}
     fresh: Optional[set] = None  # roots rebuilt this round; None: all

@@ -1,10 +1,12 @@
 """Static range structure answering one-sided segment sweeping queries.
 
-A balanced segment tree over the x-sorted points stores the upper hull of
-every node range.  A query decomposes the strip's strict interior into
+A balanced segment tree over the x-sorted points keeps the upper hull of
+each node range.  A query decomposes the strip's strict interior into
 O(log n) covering nodes; in each, the hull vertex whose adjacent slopes
 bracket the query slope maximizes y - slope*x over the whole range, so one
-vertex test per node decides it.  Space O(n log n), query O(log^2 n).
+vertex test per node decides it.  Space: nodes built on first covering
+query, O(n log n) at most.  Query O(log^2 n), plus the first build of each
+node it covers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ _LEAF_SIZE = 8
 
 
 class HullTree:
-    """Immutable after build; concurrent queries are safe."""
+    """Answers never change; node hulls are cached as queries reach them.
+    Concurrent queries may build one node twice, always to equal hulls."""
 
     def __init__(self, points: Sequence[Point]):
         n = len(points)
@@ -33,10 +36,10 @@ class HullTree:
         self.ys: List[float] = [pt.y for pt in points]
         # node id -> (hull xs, hull ys, ascending negated chain slopes)
         self._nodes: Dict[int, Tuple[List[float], List[float], List[float]]] = {}
-        if n:
-            self._build(1, 0, n)
 
-    def _build(self, node: int, lo: int, hi: int) -> None:
+    def _node_hull(
+        self, node: int, lo: int, hi: int
+    ) -> Tuple[List[float], List[float], List[float]]:
         # geometry.push_upper's monotone chain, inlined over the parallel
         # coordinate lists the queries read: folding Points through the
         # shared routine and splitting the result built a 2^15-point tree
@@ -61,16 +64,8 @@ class HullTree:
         negs = [
             -(hy[i + 1] - hy[i]) / (hx[i + 1] - hx[i]) for i in range(len(hx) - 1)
         ]
-        self._nodes[node] = (hx, hy, negs)
-        if hi - lo > _LEAF_SIZE:
-            mid = (lo + hi) // 2
-            self._build(2 * node, lo, mid)
-            self._build(2 * node + 1, mid, hi)
-
-    def _node_above(self, node: int, slope: float, intercept: float) -> bool:
-        hx, hy, negs = self._nodes[node]
-        i = bisect_left(negs, -slope)
-        return hy[i] - slope * hx[i] > intercept
+        hull = self._nodes[node] = (hx, hy, negs)
+        return hull
 
     def any_point_above(self, seg: QuerySegment) -> bool:
         """True iff a stored point with x strictly inside (seg.start.x,
@@ -84,13 +79,16 @@ class HullTree:
             return False
         slope = seg.slope
         intercept = seg.start.y - slope * seg.start.x
+        nodes = self._nodes
         stack = [(1, 0, n)]
         while stack:
             node, lo, hi = stack.pop()
             if qr <= lo or hi <= ql:
                 continue
             if ql <= lo and hi <= qr:
-                if self._node_above(node, slope, intercept):
+                hx, hy, negs = nodes.get(node) or self._node_hull(node, lo, hi)
+                i = bisect_left(negs, -slope)
+                if hy[i] - slope * hx[i] > intercept:
                     return True
                 continue
             if hi - lo <= _LEAF_SIZE:

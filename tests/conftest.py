@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import settings
 
-from highwayhull import geometry, hull_builder, metric
+from highwayhull import frontier, geometry, hull_builder, metric
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -12,9 +12,10 @@ settings.load_profile("suite")
 @pytest.fixture
 def counted(monkeypatch):
     """Counts calls made through module bindings: hull_builder's predicates
-    ("walk", "edge"), metric's curve solve and implicit slope ("curve",
-    "slope"), geometry's tangent solves ("tangent"), and geometry's brentq
-    calls with the function evaluations they make ("brentq", "evals")."""
+    ("walk", "edge"), the frontier's membership predicate ("corner"),
+    metric's curve solve and implicit slope ("curve", "slope"), geometry's
+    tangent solves ("tangent"), and geometry's brentq calls with the
+    function evaluations they make ("brentq", "evals")."""
     counts = Counter()
 
     def count(owner, name, key):
@@ -28,6 +29,7 @@ def counted(monkeypatch):
 
     count(hull_builder, "in_walking_region", "walk")
     count(hull_builder, "_point_in_edge_region", "edge")
+    count(frontier, "in_walking_region", "corner")
     count(metric, "_curve_generic", "curve")
     count(metric, "_implicit_slope", "slope")
     count(geometry, "_unit_tangency", "tangent")

@@ -38,7 +38,7 @@ def pair_margin(q, g, m):
 
 
 def test_out_of_order_arrivals_rejected():
-    f = Frontier(MetricParams.make(2.0, 2.0))
+    f = Frontier(MetricParams.make(2.0, 2.0), 5.0)
     assert f.locate(Point(5.0, 1.0)) is None
     assert f.locate(Point(5.0, 2.0)) is None  # equal abscissa allowed
     with pytest.raises(ContractViolationError):
@@ -47,7 +47,7 @@ def test_out_of_order_arrivals_rejected():
 
 def test_prefix_maxima_track_heights():
     m = MetricParams.make(2.0, 2.0)
-    f = Frontier(m)
+    f = Frontier(m, 100.0)
     for x, y in ((0.0, 4.0), (1.0, 1.0), (2.0, 2.0)):
         f.append(singleton(Point(x, y), m))
     assert [e.pmax_y for e in f.live] == [4.0, 4.0, 4.0]
@@ -58,7 +58,7 @@ def test_locate_matches_naive_scan_over_singletons():
     for p in (1.0, 1.3, 2.0, 3.0, INF):
         for v in (1.1, 2.0, 5.0, INF):
             m = MetricParams.make(p, v)
-            f = Frontier(m)
+            f = Frontier(m, 100.0)
             xs = sorted(rng.uniform(-40.0, 40.0) for _ in range(30))
             pts = [Point(x, rng.uniform(0.0, 8.0)) for x in xs]
             for pt in pts:
@@ -84,7 +84,7 @@ def test_falling_edge_band_agrees_with_exhaustive_region_test():
         e.chain = [hi, lo]
         e.t_idx = 0
         e.left_x, e.right_x, e.ymax = hi.x, lo.x, hi.y
-        f = Frontier(m)
+        f = Frontier(m, 100.0)
         f.append(e)
         queries = sorted(
             (Point(rng.uniform(4.0, 30.0), rng.uniform(0.0, 12.0)) for _ in range(150)),

@@ -173,6 +173,18 @@ def test_strip_tangents_make_no_curve_solves(counted):
     assert counted["evals"] <= 40 * solves
 
 
+@pytest.mark.parametrize("p, v", [(INF, 2.0), (1.0, INF)])
+def test_box_strip_corner_tests_stay_linear(counted, p, v):
+    # box entries beyond the rounding-widened reach are skipped without a
+    # corner test; without that cut these strips make 2.4-6.1 n tests,
+    # growing with n at p = inf
+    m = MetricParams.make(p, v)
+    for n in (4096, 8192):
+        counted.clear()
+        hull_builder.build(_strip(random.Random(n), n), m)
+        assert counted["corner"] <= 1.5 * n, (p, v, n, counted["corner"])
+
+
 # -- exposure captures: points governed by grown boundary pieces -------------------
 
 def test_tangent_bulge_boundary_decides_membership():

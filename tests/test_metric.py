@@ -23,6 +23,7 @@ from highwayhull.metric import (
     pair_closure,
     polyline_time,
     reach_coefficient,
+    reach_slack,
     shortest_path,
     time_distance,
     wavefront,
@@ -78,6 +79,37 @@ def test_derived_constants_euclidean_speed_two():
     assert abs(m.tan_alpha - 1.0 / SQ3) < TOL
     assert abs(m.descent_cost - 2.0 / SQ3) < TOL
     assert abs(reach_coefficient(m) - SQ3) < TOL
+
+
+def test_reach_slack_skips_only_pairs_the_predicate_rejects():
+    # pairs at |dx| = k Y (1 +- delta) around the bare reach bound, same and
+    # opposite side, at scales 1e-8..1e8 and offsets up to |x| ~ 1e8: every
+    # pair beyond the widened reach must fail the float predicate, while the
+    # bare k Y bound is overstepped by rounding at v -> 1
+    rng = random.Random(11)
+    skipped = bare_misses = 0
+    for p in (1.0, 1.3, 2.0, 7.0, INF):
+        for v in (1.0 + 1e-7, 1.0 + 1e-4, 1.1, 2.0, INF):
+            m = MetricParams.make(p, v)
+            k = reach_coefficient(m)
+            for e in range(-8, 9):
+                scale = 10.0**e
+                for x0 in (0.0, scale, 1e8, -1e8):
+                    for j in range(3, 13):
+                        for sign in (1.0, -1.0):
+                            ya = scale * rng.uniform(0.0, 1.0)
+                            yb = scale * rng.uniform(0.001, 1.0) * rng.choice((1.0, 1.0, -1.0))
+                            y = ya + abs(yb)
+                            dx = rng.choice((-1.0, 1.0)) * k * y * (1.0 + sign * 10.0**-j)
+                            a, b = Point(x0, ya), Point(x0 + dx, yb)
+                            kr, dr = reach_slack(m, max(abs(a.x), abs(b.x)))
+                            walks = in_walking_region(a, b, m)
+                            if abs(b.x - a.x) > kr * y + dr:
+                                skipped += 1
+                                assert not walks, (p, v, a, b)
+                            elif abs(b.x - a.x) > k * y:
+                                bare_misses += walks
+    assert skipped > 5000 and bare_misses > 0
 
 
 @given(params_st)

@@ -105,10 +105,55 @@ def test_matches_linear_scan_bulk():
     assert checked > 250 and mismatches == 0
 
 
+def _sky_queries(rng, pts, count):
+    """Segments above every point, so each query visits all its covering
+    nodes; spans are random, each covers at least one point."""
+    top = max(p.y for p in pts) + 1.0
+    out = []
+    for _ in range(count):
+        i, j = sorted(rng.sample(range(len(pts)), 2))
+        end = Point(pts[j].x + 1e-9, top + rng.uniform(-1.0, 1.0))
+        out.append(QuerySegment(Point(pts[i].x - 1e-9, top), end))
+    return out
+
+
 def test_tree_size_stays_log_linear():
     rng = random.Random(53)
     n = 4096
     pts = sorted({Point(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4)) for _ in range(n)})
     tree = subpath_hull.build(pts)
+    assert not tree._nodes
+    for seg in _sky_queries(rng, pts, 3000):
+        assert not tree.any_point_above(seg)
     bound = 4 * len(pts) * (math.log2(len(pts)) + 2)
+    assert len(tree._nodes) > 500
     assert sum(len(hx) for hx, _, _ in tree._nodes.values()) <= bound
+
+
+def test_narrow_query_builds_only_its_covering_nodes():
+    rng = random.Random(59)
+    n = 1 << 12
+    pts = sorted({Point(float(i), rng.uniform(-1.0, 1.0)) for i in range(n)})
+    tree = subpath_hull.build(pts)
+    assert not tree.any_point_above(QuerySegment(Point(1000.5, 2.0), Point(1300.5, 2.0)))
+    assert 0 < len(tree._nodes) <= 2 * math.log2(n)
+
+
+def test_answers_do_not_depend_on_query_order():
+    rng = random.Random(61)
+    pts = sorted({Point(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(2000)})
+    queries = [
+        QuerySegment(Point(x0, rng.uniform(-120, 120)), Point(x1, rng.uniform(-120, 120)))
+        for x0, x1 in (sorted((rng.uniform(-110, 110), rng.uniform(-110, 110))) for _ in range(400))
+    ]
+    queries += _sky_queries(rng, pts, 100)
+    in_order = subpath_hull.build(pts)
+    want = [in_order.any_point_above(q) for q in queries]
+    # one fresh tree per query: nothing cached from any other query
+    assert want == [subpath_hull.build(pts).any_point_above(q) for q in queries]
+    shuffled = list(range(len(queries)))
+    rng.shuffle(shuffled)
+    tree = subpath_hull.build(pts)
+    got = {i: tree.any_point_above(queries[i]) for i in shuffled}
+    assert [got[i] for i in range(len(queries))] == want
+    assert 0 < sum(want) < len(want)
