@@ -18,7 +18,9 @@ edge there, the tangent bulge band of the edge's walking region.  Tangents
 are computed lazily and cached per edge.  A box entry is skipped without
 its corner test when q.x - right_x > kr*(ymax + q.y) + dr, the rounding-
 widened reach of `metric.reach_slack`: a corner that far away fails the
-float predicate too, so skipping it never changes an answer.
+float predicate too, so skipping it never changes an answer.  That slack
+is a constant of the unit frame of `hull_builder.build`, so arrivals and
+clusters are in that frame.
 """
 
 from __future__ import annotations
@@ -68,13 +70,13 @@ class EnvelopeEntry:
 
 
 class Frontier:
-    """Single-writer mutable structure; one instance per build.  x_abs
-    bounds |x| of every arrival and every box corner."""
+    """Single-writer mutable structure; one instance per build, fed
+    unit-frame arrivals (see `metric.reach_slack`)."""
 
-    def __init__(self, m: MetricParams, x_abs: float):
+    def __init__(self, m: MetricParams):
         self.params = m
         self._k = reach_coefficient(m)
-        self._kr, self._dr = reach_slack(m, x_abs)
+        self._kr, self._dr = reach_slack(m)
         self.live: List[EnvelopeEntry] = []
         self._last_x = -INF
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import brentq
@@ -48,7 +49,13 @@ def _cross(o: Point, a: Point, b: Point) -> float:
 
 @dataclass(frozen=True)
 class Chain:
-    """x-sorted vertex chain; upper chains are concave, lower chains convex."""
+    """x-sorted vertex chain; upper chains are concave, lower chains convex.
+
+    Turns are tested at unit scale when the largest |coordinate| lies
+    outside [2^-256, 2^256], where the orientation products would underflow
+    or overflow: the chain is scaled by a power of two first, which
+    changes no turn's sign.
+    """
 
     vertices: Tuple[Point, ...]
     kind: str = "upper"
@@ -62,6 +69,11 @@ class Chain:
         for i in range(1, len(vs)):
             if not vs[i - 1].x < vs[i].x:
                 raise InvalidInputError("chain abscissae must strictly increase")
+        if len(vs) > 2:
+            c = max(map(abs, chain.from_iterable(vs)))
+            if not 2.0**-256 <= c <= 2.0**256:
+                e = -math.frexp(c)[1]
+                vs = [Point(math.ldexp(v.x, e), math.ldexp(v.y, e)) for v in vs]
         for i in range(1, len(vs) - 1):
             turn = _cross(vs[i - 1], vs[i], vs[i + 1])
             if self.kind == "upper" and turn >= 0.0:

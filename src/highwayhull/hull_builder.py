@@ -1,5 +1,15 @@
 """End-to-end time-convex hull construction.
 
+Everything runs in one numeric frame.  `build` validates the input once
+and scales it by the power of two 2^-e that puts the largest |coordinate|
+in [1, 2); the result is scaled back by 2^e.  Travel time is
+1-homogeneous, and a power-of-two scaling is exact in floats, so the
+answer is the same at every scale.  Inside the frame every member has
+|x| < 2, so each tolerance (EPS_REGION, the reach slack, the stage-one
+window) is a constant.  The one limit: a nonzero coordinate more than
+about 2^1021 below the largest becomes subnormal in the frame and loses
+bits, and points that collapse there are reported as duplicates.
+
 Points are deduplicated, split by side of the highway (y == 0 counts as
 above), and each side is clustered by one left-to-right sweep: an arrival
 either lands in the right walking region of a live cluster, merging the
@@ -35,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import repeat, takewhile
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from scipy.optimize import minimize_scalar
@@ -65,9 +75,10 @@ from .metric import (
     reach_slack,
 )
 
+# tolerance on direct - highway in edge-region tests (unit frame)
 EPS_REGION = 1e-12
 
-# a side's cluster: member points in original coordinates, dedup ids
+# a side's cluster: member points (unit frame, signed y), dedup ids
 Group = Tuple[List[Point], List[int]]
 
 
@@ -122,8 +133,9 @@ class _SideBuilder:
         self.pts = pts
         self.ids = ids
         self.m = m
-        self.frontier = Frontier(m, max(abs(pts[0].x), abs(pts[-1].x)) if pts else 0.0)
+        self.frontier = Frontier(m)
         self.tree = None
+        # below every stored point, by a unit of the frame
         self.x_floor = (pts[0].x - 1.0) if pts else 0.0
         self.kind = m.closure_kind
         # the exposing corner: the box's upper left for p = 1, the apex for p = inf
@@ -267,25 +279,22 @@ def _side_closure(c: _Live, m: MetricParams, mirror: bool) -> ClosureHull:
     """Closure hull from the live chains / box extremes (side coordinates);
     `mirror` maps the result back below the highway."""
     if c.box is not None:
-        pts = c.members
-        if mirror:
-            pts = [Point(p.x, -p.y) for p in pts]
-        return closure_hull(pts, m)
-    up = c.chain
-    lo = c.lower
-    if not mirror:
-        return ClosureHull(
-            kind="convex",
-            upper=Chain(tuple(up), "upper"),
-            lower=Chain(tuple(lo), "lower"),
-            corner_generators=(),
-        )
-    return ClosureHull(
-        kind="convex",
-        upper=Chain(tuple(Point(p.x, -p.y) for p in lo), "upper"),
-        lower=Chain(tuple(Point(p.x, -p.y) for p in up), "lower"),
-        corner_generators=(),
-    )
+        return closure_hull([Point(p.x, -p.y) for p in c.members] if mirror else c.members, m)
+    return _map_hull("convex", c.chain, c.lower, (), 1.0, -1.0 if mirror else 1.0)
+
+
+def _map_hull(kind: str, upper: Sequence[Point], lower: Sequence[Point],
+              corners: Sequence[Point], sx: float, sy: float) -> ClosureHull:
+    """Closure hull of the chains and virtual corners mapped by
+    (x, y) -> (sx x, sy y), sx > 0; a negative sy mirrors, so the upper and
+    lower chains trade places."""
+    if sy < 0.0:
+        upper, lower = lower, upper
+
+    def f(vs: Sequence[Point]) -> Tuple[Point, ...]:
+        return tuple([Point(sx * x, sy * y) for x, y in vs])
+
+    return ClosureHull(kind, Chain(f(upper), "upper"), Chain(f(lower), "lower"), f(corners))
 
 
 def _boundary_generators(h: ClosureHull) -> List[Point]:
@@ -335,10 +344,10 @@ def _gap_undefined_on_edge(u: Point, a: Point, b: Point, m: MetricParams) -> boo
     return False
 
 
-def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams, eps: float) -> bool:
+def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool:
     """True iff u lies in the walking region of some point of segment ab:
-    some edge point has direct - highway <= eps.  eps absorbs the bounded
-    minimizer's error; `_grow_to_fixpoint` scales it with the coordinates.
+    some edge point has direct - highway <= EPS_REGION, which absorbs the
+    bounded minimizer's error at the unit frame's scale.
     """
     if in_walking_region(a, u, m) or in_walking_region(b, u, m):
         return True
@@ -369,11 +378,11 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams, eps: fl
         if 0.0 < s0 < 1.0:
             pieces = [(0.0, s0), (s0, 1.0)]
     for lo, hi in pieces:
-        if f(lo) <= eps or f(hi) <= eps:
+        if f(lo) <= EPS_REGION or f(hi) <= EPS_REGION:
             return True
         res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
-        if res.fun <= eps:
+        if res.fun <= EPS_REGION:
             return True
     return False
 
@@ -405,7 +414,7 @@ def _component(pts_a: List[Point], pts_b: List[Point], m: MetricParams) -> _Comp
 
 
 def _clusters_linked(
-    ca: _Component, cb: _Component, m: MetricParams, k: float, kr: float, dr: float, eps: float
+    ca: _Component, cb: _Component, m: MetricParams, k: float, kr: float, dr: float
 ) -> bool:
     for p in ca.gens:
         for q in cb.gens:
@@ -415,7 +424,7 @@ def _clusters_linked(
         for a, b, x0, x1, ye in edges:
             for u in gens:
                 r = kr * (abs(u.y) + ye) + dr
-                if x0 - r <= u.x <= x1 + r and _point_in_edge_region(u, a, b, m, eps):
+                if x0 - r <= u.x <= x1 + r and _point_in_edge_region(u, a, b, m):
                     return True
     return False
 
@@ -449,10 +458,6 @@ class _UnionFind:
         return list(out.values())
 
 
-def _x_abs(groups: Sequence[Group]) -> float:
-    return max(abs(p.x) for pts, _ in groups for p in pts)
-
-
 def _link_member_pairs(groups: Sequence[Group], n_above: int, uf: _UnionFind, m: MetricParams) -> None:
     """Stage 1: union groups 0..n_above-1 (above) with the rest (below)
     through member pairs that walk.
@@ -463,11 +468,12 @@ def _link_member_pairs(groups: Sequence[Group], n_above: int, uf: _UnionFind, m:
     within that window at the band's top height.  The reach filter
     |dx| <= k Y and the range of a scan against the tallest below member
     stay as well: at v -> 1 rounding links pairs beyond k Y, and the join
-    has never tested those.
+    has never tested those.  D = 2 dcoef, as every |x| < 2 in the unit
+    frame.
     """
     k = reach_coefficient(m)
     kx, dcoef = cross_side_window(m)
-    d = dcoef * _x_abs(groups)
+    d = 2.0 * dcoef
     find = uf.find
     by_band: Dict[int, List[Tuple[float, float, int]]] = {}
     ymax_b = max(-p.y for pts, _ in groups[n_above:] for p in pts)
@@ -509,16 +515,9 @@ def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) 
     only pairs with a changed side are retested.  Unions do not depend on
     the order pairs are tested in, so every round ends with the partition
     that testing every pair would give.
-
-    The edge-region tolerance is EPS_REGION, scaled down with the largest
-    |coordinate| c when that is under 1: an absolute tolerance swallows
-    every difference at coordinates of 1e-100 and merges components that
-    walk nowhere.  c also bounds |x| for the reach box.
     """
     k = reach_coefficient(m)
-    c = max(max(abs(p.x), abs(p.y)) for pts, _ in groups for p in pts)
-    eps = EPS_REGION * min(1.0, c)
-    kr, dr = reach_slack(m, c, eps)
+    kr, dr = reach_slack(m, EPS_REGION)
     find = uf.find
     comps: Dict[int, _Component] = {}
     fresh: Optional[set] = None  # roots rebuilt this round; None: all
@@ -551,7 +550,7 @@ def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) 
                 slack = k * (ci.ymax + cj.ymax)
                 if cj.lo - ci.hi > slack or ci.lo - cj.hi > slack:
                     continue
-                if find(ri) != find(rj) and _clusters_linked(ci, cj, m, k, kr, dr, eps):
+                if find(ri) != find(rj) and _clusters_linked(ci, cj, m, k, kr, dr):
                     uf.union(ri, rj)
                     touched.append(ri)
         if not touched:
@@ -564,9 +563,10 @@ def cross_side_merge(
 ) -> List[List[int]]:
     """Union per-side clusters into mixed components.
 
-    Each group is (member points in original coordinates, dedup ids); the
-    result lists each component's group indices (above groups first, then
-    below ones) in increasing order, components by their smallest index.
+    Each group is (member points in the unit frame of `build`, dedup ids);
+    the result lists each component's group indices (above groups first,
+    then below ones) in increasing order, components by their smallest
+    index.
     Stage one unions via cross-side member pairs; the fixpoint stage then
     grows components whose merged closures expose further members.
     """
@@ -656,27 +656,34 @@ def footprints_and_bridges(tch: TimeConvexHull) -> TimeConvexHull:
 
 
 def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
-    """Cluster `points` under metric `m` and assemble the full hull."""
-    pts = [Point(float(p[0]), float(p[1])) for p in points]
-    if not pts:
-        raise InvalidInputError("need at least one point")
-    for p in pts:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise InvalidInputError("coordinates must be finite")
+    """Cluster `points` under metric `m` and assemble the full hull.
 
-    # collapse duplicates; dedup id -> original indices
+    The input is validated here, once, and scaled by 2^-e into the unit
+    frame (largest |coordinate| in [1, 2)); dedup, the sweeps, the join and
+    the footprints run there, and the hull vertices, virtual corners,
+    footprints and bridges are scaled back by 2^e.  Exact, up to the
+    subnormal limit of the module docstring.
+    """
+    xs = [float(p[0]) for p in points]
+    ys = [float(p[1]) for p in points]
+    if not xs:
+        raise InvalidInputError("need at least one point")
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        raise InvalidInputError("coordinates must be finite")
+    e = math.frexp(max(max(map(abs, xs)), max(map(abs, ys))))[1] - 1
+
+    # collapse duplicates in the unit frame; dedup id -> input indices
     index_of: Dict[Tuple[float, float], int] = {}
-    dedup: List[Point] = []
     orig: List[List[int]] = []
-    for i, p in enumerate(pts):
-        key = (p.x, p.y)
-        di = index_of.get(key)
-        if di is None:
-            index_of[key] = len(dedup)
-            dedup.append(p)
+    for i, key in enumerate(zip(map(math.ldexp, xs, repeat(-e)), map(math.ldexp, ys, repeat(-e)))):
+        di = index_of.setdefault(key, len(orig))
+        if di == len(orig):
             orig.append([i])
         else:
             orig[di].append(i)
+    del xs, ys
+    dedup = [Point(x, y) for x, y in index_of]
+    del index_of
 
     above = sorted(
         (i for i, p in enumerate(dedup) if p.y >= 0.0),
@@ -704,6 +711,8 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         )
     else:
         comps = [[i] for i in range(len(lives))]
+    # clusters in order of their leftmost member
+    comps.sort(key=lambda comp: min(lives[gi].left_x for gi in comp))
 
     # a side holding exactly one live cluster reuses its incrementally built
     # hull; a side gathered from several is rebuilt from its members
@@ -721,6 +730,18 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         members = sorted(i for gi in comp for di in lives[gi].member_ids for i in orig[di])
         clusters.append(Cluster(members, hulls[0], hulls[1]))
 
-    clusters.sort(key=lambda cl: min(pts[i].x for i in cl.member_indices))
-    tch = TimeConvexHull(params=m, clusters=clusters)
-    return footprints_and_bridges(tch)
+    # free the sweep state before the output is mapped back
+    del sides, lives, dedup, orig
+    tch = footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters))
+    # back to the caller's frame, in place
+    s = 2.0**e
+    for cl in tch.clusters:
+        cl.closure_above, cl.closure_below = (
+            None if h is None else _map_hull(h.kind, h.upper.vertices, h.lower.vertices,
+                                             h.corner_generators, s, s)
+            for h in (cl.closure_above, cl.closure_below)
+        )
+        if cl.footprint is not None:
+            cl.footprint = (s * cl.footprint[0], s * cl.footprint[1])
+    tch.bridges = [(s * a, s * b) for a, b in tch.bridges]
+    return tch

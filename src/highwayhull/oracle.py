@@ -17,6 +17,7 @@ refusal instead of an open-ended burn.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -182,6 +183,8 @@ def cluster(
     n = len(pts)
     if n == 0:
         raise InvalidInputError("need at least one point")
+    if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in pts):
+        raise InvalidInputError("coordinates must be finite")
     if n > size_limit:
         raise InvalidInputError(
             "oracle refuses %d points (limit %d); pass size_limit to override"

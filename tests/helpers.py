@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from typing import Iterable, List, Sequence, Tuple
@@ -20,6 +21,12 @@ Partition = Tuple[Tuple[int, ...], ...]
 
 def canon(groups: Iterable[Iterable[int]]) -> Partition:
     return tuple(sorted(tuple(sorted(g)) for g in groups))
+
+
+def unit_scale(points: Sequence[Point]) -> float:
+    """The power of two that puts the largest |coordinate| in [1, 2), as
+    `hull_builder.build` scales its input."""
+    return 2.0 ** (1 - math.frexp(max(max(abs(p.x), abs(p.y)) for p in points))[1])
 
 
 def build_partition(points: Sequence[Point], m: MetricParams) -> Partition:

@@ -30,6 +30,11 @@ def singleton(pt, m):
     return e
 
 
+def unit(pt, s):
+    """pt scaled by the power of two s into the unit frame (|x| < 2)."""
+    return Point(s * pt.x, s * pt.y)
+
+
 def pair_margin(q, g, m):
     hw = highway_time(q, g, m)
     if hw is None:
@@ -38,19 +43,19 @@ def pair_margin(q, g, m):
 
 
 def test_out_of_order_arrivals_rejected():
-    f = Frontier(MetricParams.make(2.0, 2.0), 5.0)
-    assert f.locate(Point(5.0, 1.0)) is None
-    assert f.locate(Point(5.0, 2.0)) is None  # equal abscissa allowed
+    f = Frontier(MetricParams.make(2.0, 2.0))
+    assert f.locate(Point(1.25, 0.25)) is None
+    assert f.locate(Point(1.25, 0.5)) is None  # equal abscissa allowed
     with pytest.raises(ContractViolationError):
-        f.locate(Point(3.0, 1.0))
+        f.locate(Point(0.75, 0.25))
 
 
 def test_prefix_maxima_track_heights():
     m = MetricParams.make(2.0, 2.0)
-    f = Frontier(m, 100.0)
-    for x, y in ((0.0, 4.0), (1.0, 1.0), (2.0, 2.0)):
+    f = Frontier(m)
+    for x, y in ((0.0, 1.0), (0.25, 0.25), (0.5, 0.5)):
         f.append(singleton(Point(x, y), m))
-    assert [e.pmax_y for e in f.live] == [4.0, 4.0, 4.0]
+    assert [e.pmax_y for e in f.live] == [1.0, 1.0, 1.0]
 
 
 def test_locate_matches_naive_scan_over_singletons():
@@ -58,11 +63,11 @@ def test_locate_matches_naive_scan_over_singletons():
     for p in (1.0, 1.3, 2.0, 3.0, INF):
         for v in (1.1, 2.0, 5.0, INF):
             m = MetricParams.make(p, v)
-            f = Frontier(m, 100.0)
+            f = Frontier(m)
             xs = sorted(rng.uniform(-40.0, 40.0) for _ in range(30))
             pts = [Point(x, rng.uniform(0.0, 8.0)) for x in xs]
             for pt in pts:
-                f.append(singleton(pt, m))
+                f.append(singleton(unit(pt, 2.0**-7), m))
             queries = sorted(
                 (Point(rng.uniform(40.0, 90.0), rng.uniform(0.0, 10.0)) for _ in range(40)),
                 key=lambda q: q.x,
@@ -72,19 +77,20 @@ def test_locate_matches_naive_scan_over_singletons():
                 if min(abs(x) for x in margins) < GUARD:
                     continue
                 want = next((i for i, x in enumerate(margins) if x <= 0.0), None)
-                assert f.locate(q) == want, (p, v, q)
+                assert f.locate(unit(q, 2.0**-7)) == want, (p, v, q)
 
 
 def test_falling_edge_band_agrees_with_exhaustive_region_test():
     rng = random.Random(20)
     hi, lo = Point(0.0, 5.0), Point(4.0, 1.0)
+    s = 2.0**-5
     for p, v in ((1.3, 2.0), (2.0, 2.0), (3.0, 5.0), (7.0, 1.5), (2.0, 100.0)):
         m = MetricParams.make(p, v)
         e = EnvelopeEntry()
-        e.chain = [hi, lo]
+        e.chain = [unit(hi, s), unit(lo, s)]
         e.t_idx = 0
-        e.left_x, e.right_x, e.ymax = hi.x, lo.x, hi.y
-        f = Frontier(m, 100.0)
+        e.left_x, e.right_x, e.ymax = s * hi.x, s * lo.x, s * hi.y
+        f = Frontier(m)
         f.append(e)
         queries = sorted(
             (Point(rng.uniform(4.0, 30.0), rng.uniform(0.0, 12.0)) for _ in range(150)),
@@ -96,4 +102,4 @@ def test_falling_edge_band_agrees_with_exhaustive_region_test():
             if min(abs(x) for x in vertex_margins) < GUARD or edge_margin < GUARD:
                 continue
             want = any(x <= 0.0 for x in vertex_margins) or edge_hit
-            assert (f.locate(q) == 0) == want, (p, v, q)
+            assert (f.locate(unit(q, s)) == 0) == want, (p, v, q)

@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.geometry import common_tangent, right_edge_tangent
+from highwayhull.geometry import Chain, common_tangent, right_edge_tangent
 from highwayhull.metric import (
     INF,
     DiscriminatingCurve,
@@ -322,3 +322,65 @@ def test_exponent_near_one_fails_only_with_typed_errors():
                 ref = oracle.cluster(pts, m)
                 if ref.min_margin >= helpers.NEAR_TIE:
                     assert got == helpers.canon(ref.partition), (p, v, seed)
+
+
+def _document(tch, s=1.0):
+    """Every float of the hull, times s: closure vertices and virtual corners
+    per cluster, footprints and bridges."""
+
+    def vs(points):
+        return tuple((s * q.x, s * q.y) for q in points)
+
+    def hull(h):
+        return None if h is None else (h.kind, vs(h.upper), vs(h.lower), vs(h.corner_generators))
+
+    return (
+        [(tuple(c.member_indices), hull(c.closure_above), hull(c.closure_below),
+          None if c.footprint is None else (s * c.footprint[0], s * c.footprint[1]))
+         for c in tch.clusters],
+        [(s * a, s * b) for a, b in tch.bridges],
+    )
+
+
+def _cloud(rng):
+    # six points in [-1, 1]^2 on both sides
+    return [Point(rng.uniform(-1.0, 1.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 1.0))
+            for _ in range(6)]
+
+
+def test_build_is_exact_under_power_of_two_scaling():
+    # travel time is 1-homogeneous and build works in one unit frame, so
+    # scaling the input by 2^k scales every float of the hull by 2^k
+    rng = random.Random(13)
+    instances = [(MetricParams.make(p, v), helpers.random_points(rng, rng.randint(2, 16)))
+                 for p in helpers.P_GRID for v in helpers.V_GRID for _ in range(3)]
+    clouds = random.Random(11)
+    instances += [(MetricParams.make(INF, 5.0), _cloud(clouds)) for _ in range(150)]
+    for m, pts in instances:
+        base = hull_builder.build(pts, m)
+        for k in (-1000, -660, -330, -20, 20, 330, 900):
+            s = 2.0**k
+            got = hull_builder.build([Point(s * q.x, s * q.y) for q in pts], m)
+            assert _document(got) == _document(base, s), (m.p, m.v, k, pts)
+
+
+def test_sweep_floor_is_relative_to_the_coordinates():
+    # the three below points sweep to two clusters; an exposure floor one
+    # absolute unit left of the points made the exposure segment pass
+    # through the origin in floats at 1e-100, and the sweep merged them
+    m = MetricParams.make(INF, 5.0)
+    pts = _cloud(random.Random(39))
+    want = helpers.canon(oracle.cluster(pts, m).partition)
+    assert helpers.build_partition(pts, m) == want
+    for s in (1e-100, 1e-200):
+        assert helpers.build_partition([Point(s * q.x, s * q.y) for q in pts], m) == want
+
+
+@pytest.mark.parametrize("k", [-560, 560])
+def test_extreme_scale_triangle_keeps_its_apex(k):
+    s = 2.0**k
+    pts = [Point(0.0, 0.0), Point(s / 2.0, s), Point(s, 0.0)]
+    tch = hull_builder.build(pts, MetricParams.make(2.0, 2.0))
+    assert [c.member_indices for c in tch.clusters] == [[0, 1, 2]]
+    assert tch.clusters[0].closure.upper.vertices == tuple(pts)
+    assert Chain(tuple(pts), "upper").vertices == tuple(pts)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from highwayhull.metric import (
     INF,
     DiscriminatingCurve,
@@ -83,15 +84,18 @@ def test_derived_constants_euclidean_speed_two():
 
 def test_reach_slack_skips_only_pairs_the_predicate_rejects():
     # pairs at |dx| = k Y (1 +- delta) around the bare reach bound, same and
-    # opposite side, at scales 1e-8..1e8 and offsets up to |x| ~ 1e8: every
-    # pair beyond the widened reach must fail the float predicate, while the
-    # bare k Y bound is overstepped by rounding at v -> 1
+    # opposite side, at scales 1e-8..1e8 and offsets up to |x| ~ 1e8, each
+    # pair scaled by a power of two into the unit frame (largest
+    # |coordinate| in [1, 2)): every pair beyond the widened reach must fail
+    # the float predicate, while the bare k Y bound is overstepped by
+    # rounding at v -> 1
     rng = random.Random(11)
     skipped = bare_misses = 0
     for p in (1.0, 1.3, 2.0, 7.0, INF):
         for v in (1.0 + 1e-7, 1.0 + 1e-4, 1.1, 2.0, INF):
             m = MetricParams.make(p, v)
             k = reach_coefficient(m)
+            kr, dr = reach_slack(m)
             for e in range(-8, 9):
                 scale = 10.0**e
                 for x0 in (0.0, scale, 1e8, -1e8):
@@ -102,7 +106,8 @@ def test_reach_slack_skips_only_pairs_the_predicate_rejects():
                             y = ya + abs(yb)
                             dx = rng.choice((-1.0, 1.0)) * k * y * (1.0 + sign * 10.0**-j)
                             a, b = Point(x0, ya), Point(x0 + dx, yb)
-                            kr, dr = reach_slack(m, max(abs(a.x), abs(b.x)))
+                            u = helpers.unit_scale((a, b))
+                            a, b, y = Point(u * a.x, u * a.y), Point(u * b.x, u * b.y), u * y
                             walks = in_walking_region(a, b, m)
                             if abs(b.x - a.x) > kr * y + dr:
                                 skipped += 1

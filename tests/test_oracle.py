@@ -68,7 +68,9 @@ def test_edge_probe_agrees_with_builder_probe():
                 if margin < 1e-9:
                     continue
                 checked += 1
-                got = hull_builder._point_in_edge_region(u, a, b, m, hull_builder.EPS_REGION)
+                # the builder's probe takes unit-frame input: |coordinates| <= 20
+                unit = [Point(q.x / 32.0, q.y / 32.0) for q in (u, a, b)]
+                got = hull_builder._point_in_edge_region(*unit, m)
                 disagreements += got != want
     assert checked > 150 and disagreements == 0
 
@@ -78,6 +80,14 @@ def test_identical_points_always_share_a_cluster():
     pts = [Point(0.0, 0.0), Point(0.0, 0.0), Point(90.0, 0.0)]
     ref = oracle.cluster(pts, m)
     assert helpers.canon(ref.partition) == ((0, 1), (2,))
+
+
+def test_non_finite_coordinates_rejected():
+    # the reach filter would skip the predicates that validate their input
+    m = MetricParams.make(2.0, 2.0)
+    for pts in ([Point(float("nan"), 0.0)], [Point(INF, 1.0), Point(0.0, 1.0)]):
+        with pytest.raises(InvalidInputError, match="finite"):
+            oracle.cluster(pts, m)
 
 
 def test_empty_input_rejected():
