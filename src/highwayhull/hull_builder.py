@@ -113,11 +113,10 @@ class _Live(EnvelopeEntry):
     """Mutable per-side cluster state during the sweep (side coordinates:
     y >= 0, below-side points pre-mirrored)."""
 
-    __slots__ = ("members", "member_ids", "lower", "box", "corner")
+    __slots__ = ("member_ids", "lower", "box", "corner")
 
     def __init__(self):
         super().__init__()
-        self.members: List[Point] = []
         self.member_ids: List[int] = []
         self.lower: List[Point] = []
         # box metrics: extremes [s0, s1, t0, t1] in the frame of
@@ -145,7 +144,6 @@ class _SideBuilder:
 
     def _new_cluster(self, q: Point, qid: int) -> _Live:
         c = _Live()
-        c.members = [q]
         c.member_ids = [qid]
         c.left_x = c.right_x = q.x
         c.ymax = q.y
@@ -179,7 +177,6 @@ class _SideBuilder:
             events.append((corner, corner))
 
     def _append_point(self, c: _Live, q: Point, qid: int, events: List) -> None:
-        c.members.append(q)
         c.member_ids.append(qid)
         c.left_x = min(c.left_x, q.x)
         if c.box is not None:
@@ -201,7 +198,6 @@ class _SideBuilder:
 
     def _merge(self, left: _Live, right: _Live, events: List) -> _Live:
         """Absorb `right` (strictly to the right) into `left`."""
-        left.members.extend(right.members)
         left.member_ids.extend(right.member_ids)
         left.left_x = min(left.left_x, right.left_x)
         if left.box is not None:
@@ -211,6 +207,11 @@ class _SideBuilder:
         left.right_x = max(left.right_x, right.right_x)
         left.ymax = max(left.ymax, right.ymax)
         old_right_x = left.chain[-1].x
+        # the merged chain's rightmost highest vertex is one of the two tops;
+        # in exact arithmetic the pushes pop neither top, nor any vertex
+        # right of the right top
+        l_top, r_top = left.chain[left.t_idx], right.chain[right.t_idx]
+        r_tail = len(right.chain) - right.t_idx
         for v in right.chain:
             push_upper(left.chain, v)
         for v in right.lower:
@@ -221,13 +222,15 @@ class _SideBuilder:
             a, b = left.chain[s - 1], left.chain[s]
             if b.y > a.y:
                 events.append((a, b))
-        # rightmost highest vertex of the merged chain
-        best_i = 0
-        best_y = -INF
-        for i, v in enumerate(left.chain):
-            if v.y >= best_y:
-                best_y, best_i = v.y, i
-        left.t_idx = best_i
+        if r_top.y >= l_top.y:
+            top, t_idx = r_top, len(left.chain) - r_tail
+        else:
+            top, t_idx = l_top, left.t_idx
+        if not (0 <= t_idx < len(left.chain) and left.chain[t_idx] is top):
+            # a float turn test popped the top (its products underflow in
+            # clusters 2^-600 across): rescan
+            t_idx = max(range(len(left.chain)), key=lambda i: (left.chain[i].y, i))
+        left.t_idx = t_idx
         left.tangents.update(right.tangents)
         return left
 
@@ -275,11 +278,9 @@ class _SideBuilder:
             self.frontier.update(left, 2)
 
 
-def _side_closure(c: _Live, m: MetricParams, mirror: bool) -> ClosureHull:
-    """Closure hull from the live chains / box extremes (side coordinates);
-    `mirror` maps the result back below the highway."""
-    if c.box is not None:
-        return closure_hull([Point(p.x, -p.y) for p in c.members] if mirror else c.members, m)
+def _side_closure(c: _Live, mirror: bool) -> ClosureHull:
+    """Convex closure hull from the live chains (side coordinates); `mirror`
+    maps the result back below the highway."""
     return _map_hull("convex", c.chain, c.lower, (), 1.0, -1.0 if mirror else 1.0)
 
 
@@ -714,15 +715,16 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     # clusters in order of their leftmost member
     comps.sort(key=lambda comp: min(lives[gi].left_x for gi in comp))
 
-    # a side holding exactly one live cluster reuses its incrementally built
-    # hull; a side gathered from several is rebuilt from its members
+    # a convex side holding exactly one live cluster reuses its incrementally
+    # built chains; box sides and sides gathered from several clusters are
+    # rebuilt from their members
     clusters: List[Cluster] = []
     for comp in comps:
         hulls: List[Optional[ClosureHull]] = []
         for mirror, side in ((False, [i for i in comp if i < n_above]),
                              (True, [i for i in comp if i >= n_above])):
-            if len(side) == 1:
-                hulls.append(_side_closure(lives[side[0]], m, mirror))
+            if len(side) == 1 and m.closure_kind == "convex":
+                hulls.append(_side_closure(lives[side[0]], mirror))
             elif side:
                 hulls.append(closure_hull([dedup[i] for gi in side for i in lives[gi].member_ids], m))
             else:

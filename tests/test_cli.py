@@ -78,6 +78,14 @@ def test_exit_codes(tmp_path):
     assert cli.main(["build", "--input", good, "--output", str(tmp_path / "o")]) == cli.EXIT_OK
 
 
+def test_config_errors_precede_io(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    out = str(tmp_path / "o")
+    assert cli.main(["build", "--p", "0.5", "--input", missing, "--output", out]) == cli.EXIT_CONFIG
+    # a non-numeric exponent is a config error from main, not an argparse exit
+    assert cli.main(["build", "--p", "two", "--input", missing, "--output", out]) == cli.EXIT_CONFIG
+
+
 def test_compare_verdicts(tmp_path):
     csv = _write(tmp_path, "pts.csv", REFERENCE_CSV)
     out = str(tmp_path / "cmp.json")
@@ -125,9 +133,19 @@ def test_gen_sampled_instances_honor_expected_count(tmp_path, p):
         assert len(hull_builder.build(pts, m).clusters) == expected
 
 
+def test_gen_count_is_the_number_of_points(tmp_path):
+    out = str(tmp_path / "g.csv")
+    for count in (2, 3, 12):
+        assert cli.main(["gen", "--eps", "1", "--count", str(count), "--output", out]) == cli.EXIT_OK
+        assert len(cli.read_points(out)) == count
+    for count in (1, 0, -3):
+        assert cli.main(["gen", "--eps", "1", "--count", str(count), "--output", out]) == cli.EXIT_CONFIG
+
+
 def test_gen_rejects_bad_eps_and_gaps(tmp_path):
     out = str(tmp_path / "x.csv")
     assert cli.main(["gen", "--p", "2", "--eps", "0", "--output", out]) == cli.EXIT_CONFIG
+    assert cli.main(["gen", "--p", "0.5", "--eps", "1", "--output", out]) == cli.EXIT_CONFIG
     assert cli.main(["gen", "--p", "2", "--eps", "1", "--gaps", "1,-2", "--output", out]) == cli.EXIT_CONFIG
 
 
@@ -139,16 +157,6 @@ def test_render_produces_svg(tmp_path):
     root = ET.fromstring(open(out).read())
     assert root.tag.endswith("svg")
     assert len(list(root.iter())) > 10
-
-
-def test_bench_emits_timing_records(tmp_path):
-    out = str(tmp_path / "bench.jsonl")
-    code = cli.main(["bench", "--sizes", "64,128", "--reps", "2", "--output", out])
-    assert code == cli.EXIT_OK
-    lines = open(out).read().strip().splitlines()
-    docs = [json.loads(line) for line in lines]
-    assert [d["n"] for d in docs] == [64, 128]
-    assert all(d["runs"] == 2 and d["median_s"] > 0 for d in docs)
 
 
 def test_build_json_is_byte_identical_on_fixed_corpus():
