@@ -6,7 +6,6 @@ from .geometry import (
     ClosureHull,
     QuerySegment,
     closure_hull,
-    common_tangent,
     exposed_boundary_segments,
     left_edge_tangent,
     lower_hull,
@@ -25,17 +24,14 @@ from .metric import (
     InvalidInputError,
     MetricParams,
     NumericError,
-    PairClosure,
     Point,
     WavefrontShape,
     alpha,
-    disc_curve_slope,
     disc_curve_y,
     entry_points,
     highway_time,
     in_walking_region,
     lp_distance,
-    pair_closure,
     polyline_time,
     shortest_path,
     time_distance,
@@ -59,7 +55,6 @@ __all__ = [
     "MetricParams",
     "NumericError",
     "OraclePartition",
-    "PairClosure",
     "Point",
     "QuerySegment",
     "TimeConvexHull",
@@ -69,9 +64,7 @@ __all__ = [
     "build",
     "build_hull_tree",
     "closure_hull",
-    "common_tangent",
     "cross_side_merge",
-    "disc_curve_slope",
     "disc_curve_y",
     "entry_points",
     "exposed_boundary_segments",
@@ -82,7 +75,6 @@ __all__ = [
     "lower_hull",
     "lp_distance",
     "oracle_cluster",
-    "pair_closure",
     "point_in_edge_region",
     "polyline_time",
     "render_svg",

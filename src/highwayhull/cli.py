@@ -4,8 +4,11 @@ Commands: build, oracle, compare, gen, render.  Input is CSV with one "x,y"
 pair per line and '#' comments; hull output is a canonical JSON document
 with fixed field order and 12-significant-digit floats so equal results
 serialize to identical bytes.  Exit codes: 0 success, 1 compare found a
-partition diff, 2 invalid configuration, 3 parse error, 4 I/O error.
-Build timings come from perfbench/run.py, not from this front end.
+partition diff, 2 invalid configuration, 3 parse error, 4 I/O error, 5 a
+numeric solve that failed (metric.NumericError, e.g. a tangency beyond
+float range).  `gen` writes its points at the closed-form tie height
+y0 = eps / 2.  Build timings come from perfbench/run.py, not from this
+front end.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from . import hull_builder, oracle
-from .metric import INF, InvalidInputError, MetricParams, Point, y0_solver
+from .metric import INF, InvalidInputError, MetricParams, NumericError, Point, y0_solver
 from .render import render_svg
 
 EXIT_OK = 0
@@ -26,6 +29,7 @@ EXIT_DIFF = 1
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
+EXIT_NUMERIC = 5
 
 
 class ParseError(ValueError):
@@ -157,7 +161,7 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
 
 def _cmd_gen(ns: argparse.Namespace) -> int:
     p, eps = _parse_scalar(ns.p), _parse_scalar(ns.eps)
-    y0 = y0_solver(p, eps)  # rejects p < 1 and eps <= 0
+    y0 = y0_solver(p, eps)  # rejects p < 1 and eps not finite or halving to 0
     if ns.gaps:
         try:
             gaps = [float(t) for t in ns.gaps.split(",") if t.strip()]
@@ -248,6 +252,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as ex:
         print("i/o error: %s" % ex, file=sys.stderr)
         return EXIT_IO
+    except NumericError as ex:
+        print("numeric error: %s" % ex, file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

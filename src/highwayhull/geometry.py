@@ -27,7 +27,6 @@ from scipy.optimize import brentq
 
 from .metric import (
     INF,
-    DiscriminatingCurve,
     InvalidInputError,
     MetricParams,
     NumericError,
@@ -389,44 +388,6 @@ def right_edge_tangent(
         return None
     s, e, sig = res
     return Point(-e.x, e.y), Point(-s.x, s.y), -sig
-
-
-def common_tangent(cL: DiscriminatingCurve, cR: DiscriminatingCurve) -> QuerySegment:
-    """Common tangent segment of the left curves of a positive-slope edge.
-
-    Endpoints are the tangency points (upper first).  Horizontal edges
-    degenerate to the highway segment joining the two entry points, and
-    identical generators to a zero-length segment at the shared entry.
-    """
-    if cL.side != "left" or cR.side != "left":
-        raise InvalidInputError("common tangents are defined for left curves")
-    m = cL.params
-    if (m.p, m.v) != (cR.params.p, cR.params.v):
-        raise InvalidInputError("curves must share metric parameters")
-    if m.closure_kind != "convex":
-        raise InvalidInputError("common tangents require 1 < p < inf")
-    q1, q2 = cL.generator, cR.generator
-    y1, y2 = abs(q1.y), abs(q2.y)
-    if (q1.x, y1) == (q2.x, y2):
-        e = Point(q1.x - y1 * m.tan_alpha, 0.0)
-        return QuerySegment(e, e)
-    if not q1.x < q2.x:
-        raise InvalidInputError("left curve generator must lie left of the right one")
-    if y1 == y2:
-        return QuerySegment(
-            Point(q1.x - y1 * m.tan_alpha, 0.0), Point(q2.x - y2 * m.tan_alpha, 0.0)
-        )
-    if y1 > y2:
-        raise InvalidInputError("edge must rise to the right")
-    res = left_edge_tangent(Point(q1.x, y1), Point(q2.x, y2), m)
-    if res is None:
-        raise InvalidInputError("nested walking regions admit no common tangent")
-    start, end, _ = res
-    if not start.x < end.x:
-        raise NumericError(
-            "tangent segment collapsed: %r %r p=%r v=%r" % (q1, q2, m.p, m.v)
-        )
-    return QuerySegment(start, end)
 
 
 # -- exposure of new boundary pieces -----------------------------------------

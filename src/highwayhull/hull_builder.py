@@ -78,10 +78,6 @@ from .metric import (
 # tolerance on direct - highway in edge-region tests (unit frame)
 EPS_REGION = 1e-12
 
-# a side's cluster: member points (unit frame, signed y), dedup ids
-Group = Tuple[List[Point], List[int]]
-
-
 @dataclass
 class Cluster:
     """One cluster of the partition.
@@ -459,7 +455,9 @@ class _UnionFind:
         return list(out.values())
 
 
-def _link_member_pairs(groups: Sequence[Group], n_above: int, uf: _UnionFind, m: MetricParams) -> None:
+def _link_member_pairs(
+    groups: Sequence[List[Point]], n_above: int, uf: _UnionFind, m: MetricParams
+) -> None:
     """Stage 1: union groups 0..n_above-1 (above) with the rest (below)
     through member pairs that walk.
 
@@ -477,17 +475,17 @@ def _link_member_pairs(groups: Sequence[Group], n_above: int, uf: _UnionFind, m:
     d = 2.0 * dcoef
     find = uf.find
     by_band: Dict[int, List[Tuple[float, float, int]]] = {}
-    ymax_b = max(-p.y for pts, _ in groups[n_above:] for p in pts)
+    ymax_b = max(-p.y for pts in groups[n_above:] for p in pts)
     e_floor = math.frexp(ymax_b)[1] - 30
     for gi in range(n_above, len(groups)):
-        for p in groups[gi][0]:
+        for p in groups[gi]:
             by_band.setdefault(max(math.frexp(-p.y)[1], e_floor), []).append((p.x, p.y, gi))
     bands = []
     for flat in by_band.values():
         flat.sort()
         bands.append(([t[0] for t in flat], flat, max(-t[1] for t in flat)))
     for gi in range(n_above):
-        for p in groups[gi][0]:
+        for p in groups[gi]:
             if uf.count == 1:
                 return
             reach = k * (p.y + ymax_b)
@@ -507,7 +505,7 @@ def _link_member_pairs(groups: Sequence[Group], n_above: int, uf: _UnionFind, m:
                             return
 
 
-def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) -> None:
+def _grow_to_fixpoint(groups: Sequence[List[Point]], uf: _UnionFind, m: MetricParams) -> None:
     """Union components until no closure generator, edge or virtual corner
     of one captures a boundary generator of another (either side).
 
@@ -529,7 +527,7 @@ def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) 
         comps = {r: comps[r] for r in members if fresh is not None and r not in fresh}
         for r, gis in members.items():
             if r not in comps:
-                pts = [p for gi in gis for p in groups[gi][0]]
+                pts = [p for gi in gis for p in groups[gi]]
                 comps[r] = _component(
                     [p for p in pts if p.y >= 0.0], [p for p in pts if p.y < 0.0], m
                 )
@@ -560,11 +558,11 @@ def _grow_to_fixpoint(groups: Sequence[Group], uf: _UnionFind, m: MetricParams) 
 
 
 def cross_side_merge(
-    above_groups: Sequence[Group], below_groups: Sequence[Group], m: MetricParams
+    above_groups: Sequence[List[Point]], below_groups: Sequence[List[Point]], m: MetricParams
 ) -> List[List[int]]:
     """Union per-side clusters into mixed components.
 
-    Each group is (member points in the unit frame of `build`, dedup ids);
+    Each group is a cluster's member points in the unit frame of `build`;
     the result lists each component's group indices (above groups first,
     then below ones) in increasing order, components by their smallest
     index.
@@ -706,8 +704,8 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
 
     if 0 < n_above < len(lives):
         comps = cross_side_merge(
-            [([dedup[i] for i in c.member_ids], c.member_ids) for c in lives[:n_above]],
-            [([dedup[i] for i in c.member_ids], c.member_ids) for c in lives[n_above:]],
+            [[dedup[i] for i in c.member_ids] for c in lives[:n_above]],
+            [[dedup[i] for i in c.member_ids] for c in lives[n_above:]],
             m,
         )
     else:

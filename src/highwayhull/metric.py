@@ -13,12 +13,22 @@ arithmetic covers it (gap / inf == 0.0).  Discriminating curves are
 computed in the upper half-plane; generator height enters through |y|,
 callers working below the axis mirror.
 
+Validation happens once, in the public functions: lp_distance checks p
+and both points, highway_time both points, and the predicates built on
+highway_time (in_walking_region, time_distance, shortest_path) take the
+norm from the unchecked _lp.
+
 Box frame: a closure under p = 1 is an axis-parallel box and one under
 p = inf a box with sides of slope +-1.  In the frame (s, t) of box_coords,
 (x, y) for p = 1 and (x + y, y - x) for p = inf, both are axis-parallel
 boxes [s0, s1] x [t0, t1], and box_point maps a frame point back; every
-box closure (the sweep's clusters, closure_hull, pair_closure) is built
-from these two maps.
+box closure (the sweep's clusters, closure_hull) is built from these two
+maps.
+
+Discriminating curves are the walking-region boundaries.  The builder
+meets them only through edge tangents, solved in polar form by
+geometry._unit_tangency; disc_curve_y evaluates a curve pointwise for
+rendering and as the reference those tangents are checked against.
 """
 
 from __future__ import annotations
@@ -188,8 +198,11 @@ def lp_distance(a: Point, b: Point, p: float) -> float:
         raise InvalidInputError(f"p must be >= 1, got {p}")
     _require_finite(a)
     _require_finite(b)
-    dx = abs(a.x - b.x)
-    dy = abs(a.y - b.y)
+    return _lp(abs(a.x - b.x), abs(a.y - b.y), p)
+
+
+def _lp(dx: float, dy: float, p: float) -> float:
+    """Lp norm of (dx, dy) for dx, dy >= 0 and p >= 1, unchecked."""
     if math.isinf(p):
         return max(dx, dy)
     if p == 1.0:
@@ -234,7 +247,7 @@ def _direct_time(a: Point, b: Point, m: MetricParams) -> float:
 
 def time_distance(a: Point, b: Point, m: MetricParams) -> float:
     hw = highway_time(a, b, m)
-    direct = lp_distance(a, b, m.p)
+    direct = _lp(abs(a.x - b.x), abs(a.y - b.y), m.p)
     return direct if hw is None else min(direct, hw)
 
 
@@ -247,13 +260,13 @@ def in_walking_region(q: Point, u: Point, m: MetricParams) -> bool:
     hw = highway_time(q, u, m)
     if hw is None:
         return True
-    return lp_distance(q, u, m.p) <= hw
+    return _lp(abs(q.x - u.x), abs(q.y - u.y), m.p) <= hw
 
 
 def shortest_path(a: Point, b: Point, m: MetricParams) -> list[Point]:
     """A representative shortest time-path as a polyline."""
     hw = highway_time(a, b, m)
-    if hw is None or lp_distance(a, b, m.p) <= hw:
+    if hw is None or _lp(abs(a.x - b.x), abs(a.y - b.y), m.p) <= hw:
         return [a] if a == b else [a, b]
     if (a.x, abs(a.y)) > (b.x, abs(b.y)):
         a, b = b, a
@@ -271,13 +284,7 @@ def polyline_time(path: list[Point], m: MetricParams) -> float:
     return total
 
 
-# -- pairwise closures --------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairClosure:
-    kind: str  # segment | rectangle | diamond
-    corners: tuple[Point, ...]
-
+# -- box frame ----------------------------------------------------------------
 
 def box_coords(q: Point, kind: str) -> tuple[float, float]:
     """Frame coordinates (s, t) of q in which a closure of kind "axis_box"
@@ -292,37 +299,6 @@ def box_point(s: float, t: float, kind: str) -> Point:
     if kind == "axis_box":
         return Point(s, t)
     return Point((s - t) / 2.0, (s + t) / 2.0)
-
-
-def pair_closure(a: Point, b: Point, p: float) -> PairClosure:
-    """Smallest metric-convex set containing a and b (highway unused).
-
-    Boxes (p in {1, inf}) list their corners counter-clockwise from the one
-    with the least frame coordinates.
-    """
-    _require_finite(a)
-    _require_finite(b)
-    if not (p >= 1.0):
-        raise InvalidInputError(f"p must be >= 1, got {p}")
-    if p == 1.0 or math.isinf(p):
-        kind = "axis_box" if p == 1.0 else "diamond_box"
-        (sa, ta), (sb, tb) = box_coords(a, kind), box_coords(b, kind)
-        s0, s1 = min(sa, sb), max(sa, sb)
-        t0, t1 = min(ta, tb), max(ta, tb)
-        corners = [box_point(s, t, kind) for s, t in ((s0, t0), (s1, t0), (s1, t1), (s0, t1))]
-        return PairClosure("rectangle" if p == 1.0 else "diamond", _dedupe_cycle(corners))
-    corners = [a] if a == b else [a, b]
-    return PairClosure("segment", tuple(corners))
-
-
-def _dedupe_cycle(pts: list[Point]) -> tuple[Point, ...]:
-    out: list[Point] = []
-    for pt in pts:
-        if not out or pt != out[-1]:
-            out.append(pt)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return tuple(out)
 
 
 # -- wavefronts ---------------------------------------------------------------
@@ -522,82 +498,16 @@ def _curve_generic(dx: float, yq: float, m: MetricParams) -> Optional[float]:
     return float(brentq(g, 0.0, yhi, xtol=SOLVER_XTOL, maxiter=SOLVER_MAXITER))
 
 
-def disc_curve_slope(c: DiscriminatingCurve, x: float) -> float:
-    """dy/dx of the curve at abscissa x, from the defining equality.
-
-    Implicit differentiation of direct(x, y) = highway(x, y) is exact for
-    every p; the tests cross-check it against finite differences of
-    disc_curve_y.
-    """
-    m = c.params
-    xq, yq = c.generator.x, abs(c.generator.y)
-    dx = x - xq if c.side == "right" else xq - x
-    sgn = 1.0 if c.side == "right" else -1.0
-    if dx < 0.0:
-        raise InvalidInputError("abscissa on the wrong side of the generator")
-    if m.closure_kind == "diamond_box":
-        if dx < yq:
-            raise InvalidInputError("abscissa inside the entry offset")
-        return sgn
-    if m.closure_kind == "axis_box":
-        beta = (1.0 - m.inv_v) / 2.0
-        if dx >= yq / beta:
-            raise InvalidInputError("abscissa at or beyond the L1 wall")
-        return sgn * beta
-    if yq == 0.0:
-        if m.vertical_descent:
-            if dx == 0.0:
-                return INF
-            raise InvalidInputError("abscissa outside the degenerate vertical ray")
-        return sgn / m.tan_alpha
-    y = disc_curve_y(c, x)
-    if y is None:
-        raise InvalidInputError("abscissa inside the entry offset")
-    return sgn * _implicit_slope(dx, y, yq, m)
-
-
-def _implicit_slope(dx: float, y: float, yq: float, m: MetricParams) -> float:
-    """Unsigned curve slope -Fx/Fy at known offset dx and ordinate y (1<p<inf)."""
-    d = lp_distance(Point(0.0, yq), Point(dx, y), m.p)
-    if d == 0.0:
-        return INF
-    fx = _lp_partial(dx, d, m.p) - m.inv_v
-    fy = math.copysign(_lp_partial(abs(y - yq), d, m.p), y - yq) - (
-        m.descent_cost - m.tan_alpha * m.inv_v
-    )
-    if fy == 0.0:
-        return INF
-    return -fx / fy
-
-
-def _lp_partial(u: float, d: float, p: float) -> float:
-    # d/du of (u^p + w^p)^(1/p) at distance d, u >= 0
-    if u == 0.0:
-        return 0.0
-    return (u / d) ** (p - 1.0)
-
-
 # -- lower-bound instance height ----------------------------------------------
 
 def y0_solver(p: float, eps: float) -> float:
     """Height where two points with x-gap eps sit exactly on each other's
-    walking-region boundary under v = inf."""
-    if not eps > 0.0:
-        raise InvalidInputError(f"eps must be positive, got {eps}")
-    m = MetricParams.make(p, INF)
+    walking-region boundary under v = inf: eps / 2, in closed form.
 
-    def g(y: float) -> float:
-        c = DiscriminatingCurve(Point(0.0, y), "right", m)
-        try:
-            val = disc_curve_y(c, eps)
-        except NumericError:
-            return 1.0  # ordinate beyond float range: y is far too small
-        if val is None:
-            return 1.0  # region does not reach eps yet: y is too small
-        return val - y
-
-    lo = eps * 1e-6
-    hi = eps
-    if g(hi) >= 0.0:
-        raise NumericError("failed to bracket the gap height")
-    return float(brentq(g, lo, hi, xtol=SOLVER_XTOL * max(1.0, eps), maxiter=SOLVER_MAXITER))
+    The horizontal walk takes eps under every Lp norm, and at v = inf the
+    ride takes the descent and ascent alone, 2y.
+    """
+    MetricParams.make(p, INF)
+    if not (math.isfinite(eps) and eps / 2.0 > 0.0):
+        raise InvalidInputError(f"eps must be finite with eps / 2 > 0, got {eps}")
+    return eps / 2.0

@@ -13,9 +13,9 @@ settings.load_profile("suite")
 def counted(monkeypatch):
     """Counts calls made through module bindings: hull_builder's predicates
     ("walk", "edge"), the frontier's membership predicate ("corner"),
-    metric's curve solve and implicit slope ("curve", "slope"), geometry's
-    tangent solves ("tangent"), and geometry's brentq calls with the
-    function evaluations they make ("brentq", "evals")."""
+    metric's curve solve ("curve"), geometry's tangent solves ("tangent"),
+    and geometry's brentq calls with the function evaluations they make
+    ("brentq", "evals")."""
     counts = Counter()
 
     def count(owner, name, key):
@@ -31,7 +31,6 @@ def counted(monkeypatch):
     count(hull_builder, "_point_in_edge_region", "edge")
     count(frontier, "in_walking_region", "corner")
     count(metric, "_curve_generic", "curve")
-    count(metric, "_implicit_slope", "slope")
     count(geometry, "_unit_tangency", "tangent")
     brentq = geometry.brentq
 

@@ -68,7 +68,7 @@ def test_build_encodes_infinite_parameters(tmp_path):
     assert cli.rewrite_json(text) == text
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     good = _write(tmp_path, "ok.csv", "0,1\n5,1\n")
     bad = _write(tmp_path, "bad.csv", "zzz\n")
     assert cli.main(["build", "--input", bad, "--output", str(tmp_path / "o")]) == cli.EXIT_PARSE
@@ -76,6 +76,14 @@ def test_exit_codes(tmp_path):
     assert cli.main(["build", "--v", "1", "--input", good, "--output", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     assert cli.main(["build", "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "o")]) == cli.EXIT_IO
     assert cli.main(["build", "--input", good, "--output", str(tmp_path / "o")]) == cli.EXIT_OK
+    # p -> 1+: this build's tangency lies beyond float range, a NumericError
+    rng = random.Random(3)
+    pts = [(rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(20)]
+    near_one = _write(tmp_path, "near_one.csv", "".join("%r,%r\n" % q for q in pts))
+    capsys.readouterr()
+    assert cli.main(["build", "--p", repr(1.0 + 1e-7), "--v", "1.5", "--input", near_one,
+                     "--output", str(tmp_path / "o")]) == cli.EXIT_NUMERIC
+    assert capsys.readouterr().err.startswith("numeric error: tangency beyond float range")
 
 
 def test_config_errors_precede_io(tmp_path):
@@ -142,9 +150,18 @@ def test_gen_count_is_the_number_of_points(tmp_path):
         assert cli.main(["gen", "--eps", "1", "--count", str(count), "--output", out]) == cli.EXIT_CONFIG
 
 
+def test_gen_height_is_half_the_gap_at_any_scale(tmp_path):
+    out = str(tmp_path / "g.csv")
+    for eps in ("1e-200", "1e200"):
+        assert cli.main(["gen", "--p", "2", "--eps", eps, "--count", "3", "--output", out]) == cli.EXIT_OK
+        pts = cli.read_points(out)
+        assert len(pts) == 3 and all(q.y == float(eps) / 2.0 for q in pts)
+
+
 def test_gen_rejects_bad_eps_and_gaps(tmp_path):
     out = str(tmp_path / "x.csv")
     assert cli.main(["gen", "--p", "2", "--eps", "0", "--output", out]) == cli.EXIT_CONFIG
+    assert cli.main(["gen", "--p", "2", "--eps", "inf", "--count", "3", "--output", out]) == cli.EXIT_CONFIG
     assert cli.main(["gen", "--p", "0.5", "--eps", "1", "--output", out]) == cli.EXIT_CONFIG
     assert cli.main(["gen", "--p", "2", "--eps", "1", "--gaps", "1,-2", "--output", out]) == cli.EXIT_CONFIG
 

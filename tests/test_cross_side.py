@@ -10,7 +10,6 @@ from typing import Dict, List, Tuple
 import helpers
 from highwayhull import hull_builder
 from highwayhull.geometry import closure_hull
-from highwayhull.hull_builder import Group
 from highwayhull.metric import (
     MetricParams,
     NumericError,
@@ -63,15 +62,15 @@ def _groups(parent: List[int]) -> List[List[int]]:
     return list(out.values())
 
 
-def reference_member_pairs(groups: List[Group], n_above: int, m: MetricParams) -> List[int]:
+def reference_member_pairs(groups: List[List[Point]], n_above: int, m: MetricParams) -> List[int]:
     """Stage 1 over every below member in the reach of the tallest one."""
     parent = list(range(len(groups)))
     k = reach_coefficient(m)
-    flat_b = sorted((p.x, p.y, gi) for gi in range(n_above, len(groups)) for p in groups[gi][0])
+    flat_b = sorted((p.x, p.y, gi) for gi in range(n_above, len(groups)) for p in groups[gi])
     xs_b = [t[0] for t in flat_b]
     ymax_b = max(abs(t[1]) for t in flat_b)
     for gi in range(n_above):
-        for p in groups[gi][0]:
+        for p in groups[gi]:
             reach = k * (p.y + ymax_b)
             for t in range(bisect_left(xs_b, p.x - reach), bisect_right(xs_b, p.x + reach)):
                 bx, by, gj = flat_b[t]
@@ -82,7 +81,7 @@ def reference_member_pairs(groups: List[Group], n_above: int, m: MetricParams) -
     return parent
 
 
-def reference_fixpoint(groups: List[Group], parent: List[int], m: MetricParams) -> List[int]:
+def reference_fixpoint(groups: List[List[Point]], parent: List[int], m: MetricParams) -> List[int]:
     """Every pair of component roots, closures rebuilt, every round."""
     parent = list(parent)
     k = reach_coefficient(m)
@@ -96,7 +95,7 @@ def reference_fixpoint(groups: List[Group], parent: List[int], m: MetricParams) 
         for r, gis in comps.items():
             g, e = [], []
             for above_side in (True, False):
-                pts = [p for gi in gis for p in groups[gi][0] if (p.y >= 0.0) == above_side]
+                pts = [p for gi in gis for p in groups[gi] if (p.y >= 0.0) == above_side]
                 if pts:
                     h = closure_hull(pts, m)
                     g.extend(hull_builder._boundary_generators(h))
@@ -125,9 +124,11 @@ def reference_fixpoint(groups: List[Group], parent: List[int], m: MetricParams) 
 # -- corpus -------------------------------------------------------------------
 
 
-def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[List[Group], List[Group]]:
-    """Per-side groups: the sweep's clusters, or singletons.  Points are
-    deduplicated; ids index the deduplicated list."""
+def _side_groups(
+    pts: List[Point], m: MetricParams, sweep: bool
+) -> Tuple[List[List[Point]], List[List[Point]]]:
+    """Per-side groups of member points: the sweep's clusters, or
+    singletons.  Points are deduplicated first."""
     dedup = list(dict.fromkeys(pts))
     out = []
     for above_side in (True, False):
@@ -135,12 +136,12 @@ def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[List[G
             (i for i, p in enumerate(dedup) if (p.y >= 0.0) == above_side),
             key=lambda i: (dedup[i].x, abs(dedup[i].y)),
         )
-        groups = [([dedup[i]], [i]) for i in ids]
+        groups = [[dedup[i]] for i in ids]
         if sweep and ids:
             try:
                 side = [Point(dedup[i].x, abs(dedup[i].y)) for i in ids]
                 lives = hull_builder._SideBuilder(side, ids, m).run()
-                groups = [([dedup[i] for i in c.member_ids], list(c.member_ids)) for c in lives]
+                groups = [[dedup[i] for i in c.member_ids] for c in lives]
             except NumericError:
                 pass
         out.append(groups)
@@ -167,25 +168,24 @@ def _planted(rng: random.Random, m: MetricParams, scale: float, offset: float):
     and a lone point at the edge's height k Y (1 +- 10^-j) past its end."""
     k = reach_coefficient(m)
     gap = 8.0 * k * 3.0 * scale + 1.0
-    above: List[Group] = []
-    below: List[Group] = []
+    above: List[List[Point]] = []
+    below: List[List[Point]] = []
     x = offset
     for _ in range(4):
         ya, yb = scale * rng.uniform(0.01, 1.0), scale * rng.uniform(0.01, 1.0)
         y = ya + yb
         j = 10.0 ** -rng.randint(1, 17) * rng.choice((-1.0, 1.0))
         for dx in (m.tan_alpha * y + j * y, k * y * (1.0 + j)):
-            above.append(([Point(x, ya)], [len(above)]))
-            below.append(([Point(x + rng.choice((-1.0, 1.0)) * dx, -yb)], [len(below)]))
+            above.append([Point(x, ya)])
+            below.append([Point(x + rng.choice((-1.0, 1.0)) * dx, -yb)])
             x += gap
     h = scale * rng.uniform(0.01, 1.0)
     tall = Point(x - scale, 3.0 * scale)
     a, b = Point(x, h), Point(x + scale, h)
     u = Point(b.x + 2.0 * k * h * (1.0 + 10.0 ** -rng.randint(1, 17) * rng.choice((-1.0, 1.0))), h)
-    above += [([tall, a, b], [len(above)]), ([u], [len(above) + 1])]
-    s = helpers.unit_scale([p for g, _ in above + below for p in g])
-    return [[([Point(s * p.x, s * p.y) for p in g], ids) for g, ids in side]
-            for side in (above, below)]
+    above += [[tall, a, b], [u]]
+    s = helpers.unit_scale([p for g in above + below for p in g])
+    return [[[Point(s * p.x, s * p.y) for p in g] for g in side] for side in (above, below)]
 
 
 def _regimes() -> List[MetricParams]:

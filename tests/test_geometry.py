@@ -1,4 +1,4 @@
-"""Hull chains, metric closures, common tangents and exposure segments."""
+"""Hull chains, metric closures, edge tangents and exposure segments."""
 
 import math
 import random
@@ -12,7 +12,6 @@ from highwayhull import geometry
 from highwayhull.geometry import (
     QuerySegment,
     closure_hull,
-    common_tangent,
     exposed_boundary_segments,
     left_edge_tangent,
     lower_hull,
@@ -173,45 +172,10 @@ def test_common_tangent_reference_value():
     # symbolic elimination of the two-curve tangency system for this pair
     # gives slope = intercept = sqrt(3) - 2
     m = MetricParams.make(2.0, 2.0)
-    seg = common_tangent(
-        DiscriminatingCurve(Point(0.0, 1.0), "left", m),
-        DiscriminatingCurve(Point(4.0, 5.0), "left", m),
-    )
+    (seg,) = exposed_boundary_segments((Point(0.0, 1.0), Point(4.0, 5.0)), m, x_cap=INF)
     ref = SQ3 - 2.0
     assert abs(seg.slope - ref) < 1e-9
     assert abs(seg.y_at(0.0) - ref) < 1e-9
-
-
-def test_common_tangent_degenerate_cases():
-    m = MetricParams.make(2.0, 2.0)
-    same = common_tangent(
-        DiscriminatingCurve(Point(1.0, 2.0), "left", m),
-        DiscriminatingCurve(Point(1.0, 2.0), "left", m),
-    )
-    assert same.start == same.end
-    assert abs(same.start.x - (1.0 - 2.0 / SQ3)) < 1e-12 and same.start.y == 0.0
-    level = common_tangent(
-        DiscriminatingCurve(Point(0.0, 2.0), "left", m),
-        DiscriminatingCurve(Point(5.0, 2.0), "left", m),
-    )
-    assert level.start.y == 0.0 and level.end.y == 0.0
-    assert abs(level.start.x - (0.0 - 2.0 / SQ3)) < 1e-12
-    assert abs(level.end.x - (5.0 - 2.0 / SQ3)) < 1e-12
-
-
-def test_common_tangent_rejects_box_metrics_and_bad_sides():
-    m1 = MetricParams.make(1.0, 2.0)
-    with pytest.raises(InvalidInputError):
-        common_tangent(
-            DiscriminatingCurve(Point(0.0, 1.0), "left", m1),
-            DiscriminatingCurve(Point(4.0, 5.0), "left", m1),
-        )
-    m = MetricParams.make(2.0, 2.0)
-    with pytest.raises(InvalidInputError):
-        common_tangent(
-            DiscriminatingCurve(Point(0.0, 1.0), "right", m),
-            DiscriminatingCurve(Point(4.0, 5.0), "left", m),
-        )
 
 
 def _rising_edge(m, rng):
@@ -226,9 +190,7 @@ def test_tangency_points_lie_on_their_curves():
     for m in CURVED:
         for _ in range(3):
             a, b = _rising_edge(m, rng)
-            seg = common_tangent(
-                DiscriminatingCurve(a, "left", m), DiscriminatingCurve(b, "left", m)
-            )
+            (seg,) = exposed_boundary_segments((a, b), m, x_cap=INF)
             on_b = disc_curve_y(DiscriminatingCurve(b, "left", m), seg.start.x)
             on_a = disc_curve_y(DiscriminatingCurve(a, "left", m), seg.end.x)
             assert abs(on_b - seg.start.y) < TANGENCY_TOL * (1.0 + abs(seg.start.y))
@@ -241,7 +203,7 @@ def test_tangent_supports_both_curves_from_below():
         a, b = _rising_edge(m, rng)
         ca = DiscriminatingCurve(a, "left", m)
         cb = DiscriminatingCurve(b, "left", m)
-        seg = common_tangent(ca, cb)
+        (seg,) = exposed_boundary_segments((a, b), m, x_cap=INF)
         for i in range(1, 20):
             x = seg.start.x + (seg.end.x - seg.start.x) * i / 20.0
             line = seg.y_at(x)
@@ -395,9 +357,8 @@ def test_exposure_box_corner_linf():
 def test_exposure_convex_edge_matches_common_tangent():
     m = MetricParams.make(2.0, 2.0)
     a, b = Point(0.0, 1.0), Point(4.0, 5.0)
-    ref = common_tangent(
-        DiscriminatingCurve(a, "left", m), DiscriminatingCurve(b, "left", m)
-    )
+    start, end, _ = left_edge_tangent(a, b, m)
+    ref = QuerySegment(start, end)
     (seg,) = exposed_boundary_segments((a, b), m, x_cap=100.0)
     assert abs(seg.start.x - ref.start.x) < 1e-12
     assert abs(seg.end.x - ref.end.x) < 1e-12

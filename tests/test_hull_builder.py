@@ -7,10 +7,9 @@ import pytest
 
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.geometry import Chain, common_tangent, right_edge_tangent
+from highwayhull.geometry import Chain, exposed_boundary_segments, right_edge_tangent
 from highwayhull.metric import (
     INF,
-    DiscriminatingCurve,
     InvalidInputError,
     MetricParams,
     NumericError,
@@ -168,7 +167,6 @@ def test_strip_tangents_make_no_curve_solves(counted):
     solves = counted["tangent"]
     assert solves > 100 and len(tch.clusters) > 50
     assert counted["curve"] == 0
-    assert counted["slope"] <= 40 * solves
     assert counted["brentq"] <= solves
     assert counted["evals"] <= 40 * solves
 
@@ -231,9 +229,7 @@ def test_merge_keeps_the_rightmost_highest_top(monkeypatch, p, pts):
 def test_tangent_bulge_boundary_decides_membership():
     m = MetricParams.make(2.0, 2.0)
     a, b = Point(0.0, 1.0), Point(4.0, 5.0)
-    seg = common_tangent(
-        DiscriminatingCurve(a, "left", m), DiscriminatingCurve(b, "left", m)
-    )
+    (seg,) = exposed_boundary_segments((a, b), m, x_cap=INF)
     xm = 0.5 * (seg.start.x + seg.end.x)
     for dy, want in ((1e-3, ((0, 1, 2),)), (-1e-3, ((0,), (1, 2)))):
         q = Point(xm, seg.y_at(xm) + dy)

@@ -15,13 +15,11 @@ from highwayhull.metric import (
     MetricParams,
     Point,
     alpha,
-    disc_curve_slope,
     disc_curve_y,
     entry_points,
     highway_time,
     in_walking_region,
     lp_distance,
-    pair_closure,
     polyline_time,
     reach_coefficient,
     reach_slack,
@@ -244,36 +242,6 @@ def test_path_traversal_time_matches_time_distance(a, b, m):
     assert abs(polyline_time(path, m) - time_distance(a, b, m)) < 1e-9
 
 
-# -- pair closures ---------------------------------------------------------------
-
-def test_pair_closure_shapes():
-    a, b = Point(0.0, 0.0), Point(2.0, 1.0)
-    rect = pair_closure(a, b, 1.0)
-    assert rect.kind == "rectangle"
-    assert rect.corners == (
-        Point(0.0, 0.0),
-        Point(2.0, 0.0),
-        Point(2.0, 1.0),
-        Point(0.0, 1.0),
-    )
-    seg = pair_closure(a, b, 2.0)
-    assert seg.kind == "segment" and seg.corners == (a, b)
-    # both boxes run counter-clockwise from their least frame corner
-    dia = pair_closure(Point(0.0, 0.0), Point(2.0, 0.0), INF)
-    assert dia.kind == "diamond"
-    assert dia.corners == (
-        Point(1.0, -1.0),
-        Point(2.0, 0.0),
-        Point(1.0, 1.0),
-        Point(0.0, 0.0),
-    )
-    assert pair_closure(Point(0.0, 0.0), Point(2.0, 2.0), INF).corners == (
-        Point(0.0, 0.0),
-        Point(2.0, 2.0),
-    )
-    assert pair_closure(a, a, 1.0).corners == (a,)
-
-
 # -- wavefronts -------------------------------------------------------------------
 
 def test_wavefront_shape_euclidean_speed_two():
@@ -352,31 +320,6 @@ def test_curve_sides_are_mirror_images():
             x = _curve_abscissa(right, m, rng)
             dx = x - q.x
             assert disc_curve_y(right, q.x + dx) == disc_curve_y(left, q.x - dx)
-
-
-def test_curve_slope_matches_finite_difference():
-    rng = random.Random(23)
-    h = 1e-5
-    for m in PARAMS:
-        if math.isinf(m.p):
-            continue  # piecewise-linear boundary covered by the p=1 branch below
-        q = Point(rng.uniform(-4.0, 4.0), rng.uniform(0.5, 4.0))
-        c = DiscriminatingCurve(q, "right", m)
-        for _ in range(4):
-            x = _curve_abscissa(c, m, rng)
-            s = disc_curve_slope(c, x)
-            fd = (disc_curve_y(c, x + h) - disc_curve_y(c, x - h)) / (2.0 * h)
-            assert abs(s - fd) < 1e-4 * (1.0 + abs(s))
-
-
-def test_curve_slope_linear_metrics():
-    m1 = MetricParams.make(1.0, 2.0)
-    c1 = DiscriminatingCurve(Point(0.0, 2.0), "right", m1)
-    assert disc_curve_slope(c1, 1.0) == 0.25
-    mi = MetricParams.make(INF, 2.0)
-    ci = DiscriminatingCurve(Point(0.0, 2.0), "left", mi)
-    assert disc_curve_slope(ci, -3.0) == -1.0
-    assert disc_curve_y(ci, -3.0) == 1.0
 
 
 def test_curve_rejects_wrong_side_abscissa():
