@@ -182,6 +182,8 @@ def _cmd_gen(ns: argparse.Namespace) -> int:
     xs = [0.0]
     for g in gaps:
         xs.append(xs[-1] + g)
+    if not all(map(math.isfinite, xs)):
+        raise InvalidInputError("gaps must sum to finite abscissae, got %r" % xs[-1])
     expected = len(xs) - sum(1 for g in gaps if g <= eps)
     lines = [
         "# min-gap instance: points at the critical height for eps under v=inf",

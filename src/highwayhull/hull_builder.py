@@ -29,7 +29,11 @@ only inside the entry cone |dx| <= kx (|ay| + |by|) + D of
 iterates to a fixed point: components are swept in x-span order with the
 reach slack, edge-region tests are cut to the reach box of
 `reach_coefficient`'s linear-margin lemma, and each round rebuilds and
-retests only the components the previous round changed.  A side holding
+retests only the components the previous round changed.  An edge-region
+test is decided exactly, in every regime, when some edge point's highway
+entries overlap the point's (in) or the edge lies wholly on the far side
+with the entries apart (out, by the cone lemma); only same-side and
+highway-crossing edges are left to a bounded minimizer.  A side holding
 a single swept cluster keeps that cluster's incrementally built hull.
 
 Footprints and bridges come last: a cluster's footprint spans the highway
@@ -65,12 +69,12 @@ from .metric import (
     InvalidInputError,
     MetricParams,
     Point,
+    _highway_time,
+    _lp,
     box_coords,
     box_point,
     cross_side_window,
-    highway_time,
     in_walking_region,
-    lp_distance,
     reach_coefficient,
     reach_slack,
 )
@@ -313,60 +317,45 @@ def _boundary_edges(h: ClosureHull) -> List[Tuple[Point, Point]]:
     return out
 
 
-def _gap_undefined_on_edge(u: Point, a: Point, b: Point, m: MetricParams) -> bool:
-    """True if some edge point's entry interval overlaps u's (walk trivially
-    beats a doubled-back ride, so such a pair is in-region by convention)."""
-    t = m.tan_alpha
-    ul, ur = u.x - abs(u.y) * t, u.x + abs(u.y) * t
+def _entries_meet(u: Point, a: Point, b: Point, t: float) -> bool:
+    """True iff the highway entry interval [L, R], L and R = x -+ |y| t, of
+    some point of segment ab meets u's.
 
-    def gap_at(p: Point) -> float:
-        return max(p.x - abs(p.y) * t - ur, ul - (p.x + abs(p.y) * t))
-
-    # per-coordinate linear in the edge parameter, so the max is convex;
-    # negative anywhere iff negative at an endpoint or at the crossing kink
-    if gap_at(a) <= 0.0 or gap_at(b) <= 0.0:
-        return True
-    g1a = a.x - abs(a.y) * t - ur
-    g1b = b.x - abs(b.y) * t - ur
-    g2a = ul - (a.x + abs(a.y) * t)
-    g2b = ul - (b.x + abs(b.y) * t)
-    d1, d2 = g1b - g1a, g2b - g2a
-    if d1 == d2:
-        return False
-    s = (g2a - g1a) / (d1 - d2)
-    if 0.0 < s < 1.0:
-        mid = Point(a.x + s * (b.x - a.x), a.y + s * (b.y - a.y))
-        if gap_at(mid) <= 0.0:
-            return True
-    return False
+    Exact: along the edge L is concave and R convex (|y| is convex, also
+    across the highway), so the endpoints carry min L and max R; and an
+    interval moving from left of u's to right of it meets u's on the way.
+    """
+    return (min(a.x - abs(a.y) * t, b.x - abs(b.y) * t) <= u.x + abs(u.y) * t
+            and max(a.x + abs(a.y) * t, b.x + abs(b.y) * t) >= u.x - abs(u.y) * t)
 
 
 def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool:
-    """True iff u lies in the walking region of some point of segment ab:
-    some edge point has direct - highway <= EPS_REGION, which absorbs the
-    bounded minimizer's error at the unit frame's scale.
+    """True iff u lies in the walking region of some point of segment ab.
+
+    Two exact rules hold in every regime.  If some edge point's entries
+    meet u's, u is in (walking trivially beats a doubled-back ride).
+    Otherwise an edge wholly on the far side of the highway is out: by the
+    cone lemma of `metric.cross_side_window`, direct - highway = Y f(r) > 0
+    at each of its points once the entries are apart.  Same-side and
+    highway-crossing edges left over go to a bounded minimizer of
+    direct - highway; EPS_REGION absorbs only its error at the unit
+    frame's scale.
     """
     if in_walking_region(a, u, m) or in_walking_region(b, u, m):
         return True
     if a == b:
         return False
-    if m.vertical_descent and (
-        (u.y >= 0.0 and a.y <= 0.0 and b.y <= 0.0)
-        or (u.y <= 0.0 and a.y >= 0.0 and b.y >= 0.0)
-    ):
-        # vertical descent with the edge on the far side: in-region exactly
-        # when some edge point aligns with u in x (the endpoint checks above
-        # already caught any rounding tie just past the span)
-        return min(a.x, b.x) <= u.x <= max(a.x, b.x)
-    if _gap_undefined_on_edge(u, a, b, m):
+    if _entries_meet(u, a, b, m.tan_alpha):
         return True
+    if (u.y >= 0.0 and a.y <= 0.0 and b.y <= 0.0) or (u.y <= 0.0 and a.y >= 0.0 and b.y >= 0.0):
+        return False
 
     def f(s: float) -> float:
         p = Point(a.x + s * (b.x - a.x), a.y + s * (b.y - a.y))
-        hw = highway_time(p, u, m)
+        hw = _highway_time(p, u, m)
         if hw is None:
             return -INF
-        return lp_distance(p, u, m.p) - hw
+        return _lp(abs(p.x - u.x), abs(p.y - u.y), m.p) - hw
 
     # |dx| kinks the highway term; each side of the kink is convex
     pieces = [(0.0, 1.0)]

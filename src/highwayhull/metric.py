@@ -16,7 +16,8 @@ callers working below the axis mirror.
 Validation happens once, in the public functions: lp_distance checks p
 and both points, highway_time both points, and the predicates built on
 highway_time (in_walking_region, time_distance, shortest_path) take the
-norm from the unchecked _lp.
+norm from the unchecked _lp.  Callers whose points are already validated
+(the join's edge-region objective) use _highway_time and _lp directly.
 
 Box frame: a closure under p = 1 is an axis-parallel box and one under
 p = inf a box with sides of slope +-1.  In the frame (s, t) of box_coords,
@@ -230,6 +231,11 @@ def highway_time(a: Point, b: Point, m: MetricParams) -> Optional[float]:
     """
     _require_finite(a)
     _require_finite(b)
+    return _highway_time(a, b, m)
+
+
+def _highway_time(a: Point, b: Point, m: MetricParams) -> Optional[float]:
+    """highway_time for finite points, unchecked."""
     if (a.x, abs(a.y)) > (b.x, abs(b.y)):
         a, b = b, a
     gap = (b.x - abs(b.y) * m.tan_alpha) - (a.x + abs(a.y) * m.tan_alpha)

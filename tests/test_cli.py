@@ -166,6 +166,16 @@ def test_gen_rejects_bad_eps_and_gaps(tmp_path):
     assert cli.main(["gen", "--p", "2", "--eps", "1", "--gaps", "1,-2", "--output", out]) == cli.EXIT_CONFIG
 
 
+def test_gen_rejects_abscissae_beyond_float_range(tmp_path, capsys):
+    # sampled gaps up to 3 eps, or explicit ones, summing past the float maximum
+    out = tmp_path / "x.csv"
+    for args in (["--eps", "1e308", "--count", "3", "--seed", "0"],
+                 ["--eps", "1", "--gaps", "1e308,1e308"]):
+        assert cli.main(["gen", "--p", "2", *args, "--output", str(out)]) == cli.EXIT_CONFIG
+        assert "finite abscissae" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_render_produces_svg(tmp_path):
     csv = _write(tmp_path, "pts.csv", REFERENCE_CSV)
     out = str(tmp_path / "fig.svg")

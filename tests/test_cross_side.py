@@ -3,14 +3,17 @@ plain all-pairs join they replace, plus call-count guards on the pruning."""
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import helpers
-from highwayhull import hull_builder
+from highwayhull import hull_builder, oracle
 from highwayhull.geometry import closure_hull
 from highwayhull.metric import (
+    INF,
     MetricParams,
     NumericError,
     Point,
@@ -246,6 +249,125 @@ def test_window_excludes_only_pairs_the_predicate_rejects():
             for sign in (-1.0, 1.0):
                 a, b = Point(x0, ya), Point(x0 + sign * dx, -yb)
                 assert not in_walking_region(a, b, m), (m.p, m.v, ya, yb, x0)
+
+
+# -- edge-region predicate -----------------------------------------------------
+
+FAR_P = (1.0, 1.3, 2.0, 7.0, INF)
+FAR_V = (1.1, 2.0, INF)
+
+
+def _far_side(rng: random.Random, u_below: bool) -> Tuple[Point, Point, Point]:
+    """u and an edge on the far side of the highway from it, in the unit
+    frame; heights include 0 (a point on the highway)."""
+
+    def h() -> float:
+        return 0.0 if rng.random() < 0.1 else rng.uniform(0.001, 1.5)
+
+    u = Point(rng.uniform(-1.9, 1.9), h())
+    a = Point(rng.uniform(-1.9, 1.9), -h())
+    b = Point(a.x + rng.uniform(-0.6, 0.6), -h())
+    if u_below:
+        u, a, b = (Point(q.x, -q.y) for q in (u, a, b))
+    return u, a, b
+
+
+def test_far_side_at_vertical_descent_is_the_span_rule():
+    # tan(alpha) = 0: some edge point's entries meet u's exactly when u.x is
+    # in the edge's x-span; the endpoint predicates catch rounding ties
+    rng = random.Random(11)
+    regimes = [(1.0, v) for v in FAR_V] + [(2.0, INF), (7.0, INF)]
+    outcomes = set()
+    for p, v in regimes:
+        m = MetricParams.make(p, v)
+        assert m.tan_alpha == 0.0
+        for _ in range(60):
+            u0, a, b = _far_side(rng, rng.random() < 0.5)
+            if a.x == b.x:
+                continue
+            lo, hi = min(a.x, b.x), max(a.x, b.x)
+            uy = math.copysign(rng.choice((0.0, 1e-3, rng.uniform(0.001, 1.5))), u0.y)
+            for x in (lo, hi, 0.5 * (lo + hi), math.nextafter(lo, -INF), math.nextafter(hi, INF)):
+                u = Point(x, uy)
+                want = (in_walking_region(a, u, m) or in_walking_region(b, u, m)
+                        or lo <= x <= hi)
+                got = hull_builder._point_in_edge_region(u, a, b, m)
+                assert got == want, (p, v, u, a, b)
+                outcomes.add((lo <= x <= hi, got))
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_far_side_edges_never_reach_the_minimizer(monkeypatch):
+    calls = []
+    minimize = hull_builder.minimize_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(hull_builder, "minimize_scalar", counted)
+    rng = random.Random(12)
+    verdicts = set()
+    for p in FAR_P:
+        for v in FAR_V:
+            m = MetricParams.make(p, v)
+            for _ in range(200):
+                u, a, b = _far_side(rng, rng.random() < 0.5)
+                verdicts.add(hull_builder._point_in_edge_region(u, a, b, m))
+    assert not calls and verdicts == {True, False}
+    # a same-side edge past the entries still goes to the minimizer
+    m = MetricParams.make(2.0, 2.0)
+    assert not hull_builder._point_in_edge_region(Point(1.5, 0.1), Point(0.0, 0.1), Point(0.2, 0.1), m)
+    assert calls
+
+
+def test_far_side_verdicts_match_the_oracle():
+    rng = random.Random(13)
+    checked = {True: 0, False: 0}
+    for p in FAR_P + (3.0,):
+        for v in FAR_V + (5.0, 100.0):
+            m = MetricParams.make(p, v)
+            for _ in range(80):
+                u, a, b = _far_side(rng, rng.random() < 0.5)
+                want, margin = oracle._edge_region_margin(u, (a, b), m)
+                if margin < helpers.NEAR_TIE:
+                    continue
+                assert hull_builder._point_in_edge_region(u, a, b, m) == want, (p, v, u, a, b)
+                checked[want] += 1
+    assert min(checked.values()) >= 200
+
+
+def test_entry_overlap_on_highway_crossing_edges_matches_exact_scan():
+    # |y| kinks where the edge crosses the highway, so L and R are not
+    # linear in the edge parameter there; a Fraction scan of the exact
+    # entries must find no overlap the endpoint test misses
+    rng = random.Random(14)
+    steps = 64
+    found = {"endpoint": 0, "interior": 0, "none": 0}
+    for p in FAR_P:
+        for v in FAR_V:
+            m = MetricParams.make(p, v)
+            t = Fraction(m.tan_alpha)
+            for _ in range(100):
+                a = Point(rng.uniform(-1.5, 1.5), rng.uniform(0.001, 1.5))
+                b = Point(rng.uniform(-1.5, 1.5), -rng.uniform(0.001, 1.5))
+                cross = a.y / (a.y - b.y)
+                u = Point(a.x + cross * (b.x - a.x) + rng.uniform(-0.5, 0.5),
+                          rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 0.3))
+                ux, uy = Fraction(u.x), abs(Fraction(u.y))
+                meets = []
+                for k in range(steps + 1):
+                    s = Fraction(k, steps)
+                    x = Fraction(a.x) + s * (Fraction(b.x) - Fraction(a.x))
+                    y = abs(Fraction(a.y) + s * (Fraction(b.y) - Fraction(a.y)))
+                    meets.append(x - y * t <= ux + uy * t and x + y * t >= ux - uy * t)
+                got = hull_builder._entries_meet(u, a, b, m.tan_alpha)
+                if any(meets):
+                    assert got, (p, v, u, a, b)
+                    found["endpoint" if meets[0] or meets[-1] else "interior"] += 1
+                else:
+                    found["none"] += 1
+    assert min(found.values()) >= 50, found
 
 
 # -- call-count guards ----------------------------------------------------------
