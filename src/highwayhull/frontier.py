@@ -14,18 +14,20 @@ Membership against one cluster is decided by predicates on its governing
 generators: the box metrics are covered by a single corner (the right box
 corner for p=1, the diamond apex for p=inf), convex closures by the
 top..rightmost subchain of the upper hull plus, for each negative-slope
-edge there, the tangent bulge band of the edge's walking region.  Tangents
-are computed lazily and cached per edge.  A box entry is skipped without
-its corner test when q.x - right_x > kr*(ymax + q.y) + dr, the rounding-
-widened reach of `metric.reach_slack`: a corner that far away fails the
-float predicate too, so skipping it never changes an answer.  That slack
-is a constant of the unit frame of `hull_builder.build`, so arrivals and
-clusters are in that frame.
+edge there, the tangent bulge band of the edge's walking region.  The top
+is read off the chain by walking left from its right end while it rises.
+Tangents are computed lazily and cached per edge, in one dict of the
+frontier.  A box entry is skipped without its corner test when
+q.x - right_x > kr*(ymax + q.y) + dr, the rounding-widened reach of
+`metric.reach_slack`: a corner that far away fails the float predicate
+too, so skipping it never changes an answer.  That slack is a constant
+of the unit frame of `hull_builder.build`, so arrivals and clusters are
+in that frame.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .geometry import right_edge_tangent
 from .metric import INF, MetricParams, Point, in_walking_region, reach_coefficient, reach_slack
@@ -42,15 +44,12 @@ class EnvelopeEntry:
 
     The builder owns and mutates these (single writer); the frontier only
     reads them during locate.  For convex closures `chain` is the live
-    upper hull and `t_idx` the index of its rightmost highest vertex; for
-    box closures `right_corner` is the single governing generator and the
-    chain fields are unused.
+    upper hull; for box closures `right_corner` is the single governing
+    generator and `chain` is unused.
     """
 
     __slots__ = (
         "chain",
-        "t_idx",
-        "tangents",
         "right_corner",
         "left_x",
         "right_x",
@@ -60,8 +59,6 @@ class EnvelopeEntry:
 
     def __init__(self):
         self.chain: List[Point] = []
-        self.t_idx = 0
-        self.tangents = {}
         self.right_corner: Optional[Point] = None
         self.left_x = INF
         self.right_x = -INF
@@ -79,6 +76,8 @@ class Frontier:
         self._kr, self._dr = reach_slack(m)
         self.live: List[EnvelopeEntry] = []
         self._last_x = -INF
+        # right_edge_tangent of each chain edge (hi, lo) tested so far
+        self._tangents: Dict[Tuple[Point, Point], Optional[Tuple[Point, Point, float]]] = {}
 
     def append(self, entry: EnvelopeEntry) -> None:
         prev = self.live[-1].pmax_y if self.live else 0.0
@@ -119,22 +118,26 @@ class Frontier:
         t_a = m.tan_alpha
         q_entry = q.x - q.y * t_a
         chain = e.chain
-        for j in range(len(chain) - 1, e.t_idx - 1, -1):
-            g = chain[j]
-            if q.x - g.x > k * (g.y + q.y):
-                continue
-            if q_entry <= g.x + g.y * t_a:
+        # the chain is concave: walking left from its right end, it rises
+        # up to its rightmost highest vertex
+        top = len(chain) - 1
+        while True:
+            g = chain[top]
+            if q.x - g.x <= k * (g.y + q.y) and (
+                q_entry <= g.x + g.y * t_a or in_walking_region(g, q, m)
+            ):
                 return True
-            if in_walking_region(g, q, m):
-                return True
-        for j in range(e.t_idx, len(chain) - 1):
+            if top == 0 or chain[top - 1].y <= g.y:
+                break
+            top -= 1
+        for j in range(top, len(chain) - 1):
             hi, lo = chain[j], chain[j + 1]
             if q.x - lo.x > k * (hi.y + q.y):
                 continue
-            tan = e.tangents.get((hi, lo), _MISSING)
+            tan = self._tangents.get((hi, lo), _MISSING)
             if tan is _MISSING:
                 tan = right_edge_tangent(hi, lo, m)
-                e.tangents[(hi, lo)] = tan
+                self._tangents[(hi, lo)] = tan
             if tan is None or tan[2] == 0.0:
                 # no tangent, or one collapsed onto the highway: a band of
                 # zero height, whose edge endpoints the loop above tested

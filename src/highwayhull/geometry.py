@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from scipy.optimize import brentq
@@ -40,21 +39,32 @@ from .metric import (
 _LOGIT_SPAN = 700.0
 # finite stand-in for log(0) in the tangency search, beyond any log ratio
 _LOG_SENTINEL = 1e4
+# below this a turn's sign may come from subnormal products
+_TURN_FLOOR = 2.0**-960
 
 
 def _cross(o: Point, a: Point, b: Point) -> float:
+    """Turn of o -> a -> b, positive to the left, with its sign at unit scale.
+
+    A turn below _TURN_FLOOR, or a non-finite one (a difference or product
+    overflowed), is recomputed with the abscissae and the ordinates each
+    scaled by a power of two to unit size: that scales the turn and keeps
+    its sign, and there a product underflows only if the triple's own
+    coordinates span the float exponent range.
+    """
+    t = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    if _TURN_FLOOR <= abs(t) < INF:
+        return t
+    ex = -math.frexp(max(abs(o.x), abs(a.x), abs(b.x)))[1]
+    ey = -math.frexp(max(abs(o.y), abs(a.y), abs(b.y)))[1]
+    o, a, b = (Point(math.ldexp(v.x, ex), math.ldexp(v.y, ey)) for v in (o, a, b))
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 @dataclass(frozen=True)
 class Chain:
-    """x-sorted vertex chain; upper chains are concave, lower chains convex.
-
-    Turns are tested at unit scale when the largest |coordinate| lies
-    outside [2^-256, 2^256], where the orientation products would underflow
-    or overflow: the chain is scaled by a power of two first, which
-    changes no turn's sign.
-    """
+    """x-sorted vertex chain; upper chains are concave, lower chains convex,
+    with every turn tested by the scale-safe `_cross`."""
 
     vertices: Tuple[Point, ...]
     kind: str = "upper"
@@ -68,11 +78,6 @@ class Chain:
         for i in range(1, len(vs)):
             if not vs[i - 1].x < vs[i].x:
                 raise InvalidInputError("chain abscissae must strictly increase")
-        if len(vs) > 2:
-            c = max(map(abs, chain.from_iterable(vs)))
-            if not 2.0**-256 <= c <= 2.0**256:
-                e = -math.frexp(c)[1]
-                vs = [Point(math.ldexp(v.x, e), math.ldexp(v.y, e)) for v in vs]
         for i in range(1, len(vs) - 1):
             turn = _cross(vs[i - 1], vs[i], vs[i + 1])
             if self.kind == "upper" and turn >= 0.0:

@@ -34,7 +34,8 @@ test is decided exactly, in every regime, when some edge point's highway
 entries overlap the point's (in) or the edge lies wholly on the far side
 with the entries apart (out, by the cone lemma); only same-side and
 highway-crossing edges are left to a bounded minimizer.  A side holding
-a single swept cluster keeps that cluster's incrementally built hull.
+a single swept cluster keeps that cluster's incrementally built upper
+chain; its lower chain is folded over the members at assembly.
 
 Footprints and bridges come last: a cluster's footprint spans the highway
 interval its internal shortest paths ride, and bridges fill the highway
@@ -113,12 +114,11 @@ class _Live(EnvelopeEntry):
     """Mutable per-side cluster state during the sweep (side coordinates:
     y >= 0, below-side points pre-mirrored)."""
 
-    __slots__ = ("member_ids", "lower", "box", "corner")
+    __slots__ = ("member_ids", "box", "corner")
 
     def __init__(self):
         super().__init__()
         self.member_ids: List[int] = []
-        self.lower: List[Point] = []
         # box metrics: extremes [s0, s1, t0, t1] in the frame of
         # metric.box_coords, and the corner whose moves expose region
         self.box: Optional[List[float]] = None
@@ -149,8 +149,6 @@ class _SideBuilder:
         c.ymax = q.y
         if self.kind == "convex":
             c.chain = [q]
-            c.lower = [q]
-            c.t_idx = 0
         else:
             s, t = box_coords(q, self.kind)
             c.box = [s, s, t, t]
@@ -183,16 +181,10 @@ class _SideBuilder:
             s, t = box_coords(q, self.kind)
             self._grow_box(c, s, s, t, t, events)
             return
-        appended = push_upper(c.chain, q)
-        push_lower(c.lower, q)
-        if appended:
-            t_alive = c.t_idx < len(c.chain) - 1
-            if not t_alive or q.y >= c.chain[c.t_idx].y:
-                c.t_idx = len(c.chain) - 1
-            if len(c.chain) >= 2:
-                a, b = c.chain[-2], c.chain[-1]
-                if b.y > a.y:
-                    events.append((a, b))
+        if push_upper(c.chain, q) and len(c.chain) >= 2:
+            a, b = c.chain[-2], c.chain[-1]
+            if b.y > a.y:
+                events.append((a, b))
         c.right_x = max(c.right_x, q.x)
         c.ymax = max(c.ymax, q.y)
 
@@ -207,31 +199,14 @@ class _SideBuilder:
         left.right_x = max(left.right_x, right.right_x)
         left.ymax = max(left.ymax, right.ymax)
         old_right_x = left.chain[-1].x
-        # the merged chain's rightmost highest vertex is one of the two tops;
-        # in exact arithmetic the pushes pop neither top, nor any vertex
-        # right of the right top
-        l_top, r_top = left.chain[left.t_idx], right.chain[right.t_idx]
-        r_tail = len(right.chain) - right.t_idx
         for v in right.chain:
             push_upper(left.chain, v)
-        for v in right.lower:
-            push_lower(left.lower, v)
         # bridge edge joins the survivors of the two original chains
         s = bisect_right(left.chain, old_right_x, key=lambda p: p.x)
         if 0 < s < len(left.chain):
             a, b = left.chain[s - 1], left.chain[s]
             if b.y > a.y:
                 events.append((a, b))
-        if r_top.y >= l_top.y:
-            top, t_idx = r_top, len(left.chain) - r_tail
-        else:
-            top, t_idx = l_top, left.t_idx
-        if not (0 <= t_idx < len(left.chain) and left.chain[t_idx] is top):
-            # a float turn test popped the top (its products underflow in
-            # clusters 2^-600 across): rescan
-            t_idx = max(range(len(left.chain)), key=lambda i: (left.chain[i].y, i))
-        left.t_idx = t_idx
-        left.tangents.update(right.tangents)
         return left
 
     # -- sweep ----------------------------------------------------------
@@ -278,10 +253,15 @@ class _SideBuilder:
             self.frontier.update(left, 2)
 
 
-def _side_closure(c: _Live, mirror: bool) -> ClosureHull:
-    """Convex closure hull from the live chains (side coordinates); `mirror`
-    maps the result back below the highway."""
-    return _map_hull("convex", c.chain, c.lower, (), 1.0, -1.0 if mirror else 1.0)
+def _side_closure(c: _Live, side_pts: Sequence[Point], mirror: bool) -> ClosureHull:
+    """Convex closure hull of one swept cluster: its live upper chain and a
+    lower chain folded over its members `side_pts[i]`, which `member_ids`
+    lists in sweep order (side coordinates); `mirror` maps the result back
+    below the highway."""
+    lower: List[Point] = []
+    for i in c.member_ids:
+        push_lower(lower, side_pts[i])
+    return _map_hull("convex", c.chain, lower, (), 1.0, -1.0 if mirror else 1.0)
 
 
 def _map_hull(kind: str, upper: Sequence[Point], lower: Sequence[Point],
@@ -536,7 +516,7 @@ def _grow_to_fixpoint(groups: Sequence[List[Point]], uf: _UnionFind, m: MetricPa
                     continue
                 cj = comps[rj]
                 slack = k * (ci.ymax + cj.ymax)
-                if cj.lo - ci.hi > slack or ci.lo - cj.hi > slack:
+                if cj.lo - ci.hi > slack:
                     continue
                 if find(ri) != find(rj) and _clusters_linked(ci, cj, m, k, kr, dr):
                     uf.union(ri, rj)
@@ -673,21 +653,12 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     dedup = [Point(x, y) for x, y in index_of]
     del index_of
 
-    above = sorted(
-        (i for i, p in enumerate(dedup) if p.y >= 0.0),
-        key=lambda i: (dedup[i].x, dedup[i].y),
-    )
-    below = sorted(
-        (i for i, p in enumerate(dedup) if p.y < 0.0),
-        key=lambda i: (dedup[i].x, -dedup[i].y),
-    )
-
-    # per-side sweeps; `lives` holds the above clusters, then the below ones
-    sides = [
-        _SideBuilder([Point(dedup[i].x, -dedup[i].y) if mirror else dedup[i] for i in ids],
-                     list(ids), m).run()
-        for ids, mirror in ((above, False), (below, True))
-    ]
+    # per-side sweeps in side coordinates (below-side points mirrored), in
+    # their x, y order; `lives` holds the above clusters, then the below ones
+    side_pts = [Point(p.x, -p.y) if p.y < 0.0 else p for p in dedup]
+    above = sorted((i for i, p in enumerate(dedup) if p.y >= 0.0), key=side_pts.__getitem__)
+    below = sorted((i for i, p in enumerate(dedup) if p.y < 0.0), key=side_pts.__getitem__)
+    sides = [_SideBuilder([side_pts[i] for i in ids], ids, m).run() for ids in (above, below)]
     lives = sides[0] + sides[1]
     n_above = len(sides[0])
 
@@ -711,7 +682,7 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         for mirror, side in ((False, [i for i in comp if i < n_above]),
                              (True, [i for i in comp if i >= n_above])):
             if len(side) == 1 and m.closure_kind == "convex":
-                hulls.append(_side_closure(lives[side[0]], mirror))
+                hulls.append(_side_closure(lives[side[0]], side_pts, mirror))
             elif side:
                 hulls.append(closure_hull([dedup[i] for gi in side for i in lives[gi].member_ids], m))
             else:
@@ -720,7 +691,7 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         clusters.append(Cluster(members, hulls[0], hulls[1]))
 
     # free the sweep state before the output is mapped back
-    del sides, lives, dedup, orig
+    del sides, lives, dedup, side_pts, orig
     tch = footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters))
     # back to the caller's frame, in place
     s = 2.0**e

@@ -328,8 +328,8 @@ def wavefront(q: Point, t: float, m: MetricParams) -> WavefrontShape:
     """
     if q.y != 0.0:
         raise InvalidInputError("wavefront source must lie on the highway")
-    if t < 0.0:
-        raise InvalidInputError("negative radius")
+    if not 0.0 <= t < INF:
+        raise InvalidInputError("radius must be finite and non-negative, got %r" % t)
     if m.closure_kind == "diamond_box":
         fx = t
     elif m.vertical_descent:
@@ -377,26 +377,23 @@ class DiscriminatingCurve:
         _require_finite(self.generator)
 
 
-def disc_curve_y(c: DiscriminatingCurve, x: float, method: str = "auto") -> Optional[float]:
+def disc_curve_y(c: DiscriminatingCurve, x: float) -> Optional[float]:
     """Ordinate of the curve at abscissa x; None inside the entry offset.
 
-    method="auto" uses closed forms for p in {1, 2, inf}; method="generic"
-    always solves the defining equality by bracketed root finding.
+    Closed forms serve p in {1, 2, inf}; any other p solves the defining
+    equality by bracketed root finding (`_curve_generic`).
     """
-    if method not in ("auto", "generic"):
-        raise InvalidInputError(f"unknown method {method!r}")
     m = c.params
     xq, yq = c.generator.x, abs(c.generator.y)
     dx = x - xq if c.side == "right" else xq - x
     if dx < 0.0:
         raise InvalidInputError("abscissa on the wrong side of the generator")
-    if method == "auto":
-        if m.closure_kind == "axis_box":
-            return _curve_p1(dx, yq, m)
-        if m.closure_kind == "diamond_box":
-            return _curve_pinf(dx, yq)
-        if m.p == 2.0:
-            return _curve_p2(dx, yq, m)
+    if m.closure_kind == "axis_box":
+        return _curve_p1(dx, yq, m)
+    if m.closure_kind == "diamond_box":
+        return _curve_pinf(dx, yq)
+    if m.p == 2.0:
+        return _curve_p2(dx, yq, m)
     return _curve_generic(dx, yq, m)
 
 

@@ -13,15 +13,13 @@ import time
 import pytest
 
 import helpers
-from highwayhull import hull_builder, oracle, subpath_hull
+from highwayhull import hull_builder, metric, oracle, subpath_hull
 from highwayhull.geometry import QuerySegment
 from highwayhull.metric import (
     INF,
-    DiscriminatingCurve,
     MetricParams,
     Point,
     alpha,
-    disc_curve_y,
     lp_distance,
     polyline_time,
     shortest_path,
@@ -93,10 +91,9 @@ def test_a2_closed_forms_match_generic_solver(capfd):
                 v = rng.choice((1.1, 1.5, 2.0, 5.0, 100.0))
                 m = MetricParams.make(p, v)
                 yq = rng.uniform(0.2, 30.0)
-                xq = rng.uniform(-5.0, 5.0)
-                side = rng.choice(("left", "right"))
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                ci = DiscriminatingCurve(Point(xq, sign * yq), side, m)
+                # the solver sees only dx and |y|: the abscissa, side and
+                # sign draws stay so that the seeded sequence does
+                rng.uniform(-5.0, 5.0), rng.choice(("left", "right")), rng.random()
                 if p == 1.0:
                     beta = (1.0 - 1.0 / v) / 2.0
                     dx = (yq / beta) * rng.uniform(0.02, 0.98)
@@ -112,8 +109,7 @@ def test_a2_closed_forms_match_generic_solver(capfd):
                 else:
                     dx = yq + rng.uniform(0.01, 40.0)
                     expected = dx - yq
-                x = xq + dx if side == "right" else xq - dx
-                got = disc_curve_y(ci, x, method="generic")
+                got = metric._curve_generic(dx, yq, m)
                 assert got is not None
                 err = abs(got - expected)
                 worst[p] = max(worst[p], err)

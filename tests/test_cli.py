@@ -186,6 +186,20 @@ def test_render_produces_svg(tmp_path):
     assert len(list(root.iter())) > 10
 
 
+def test_render_rejects_a_non_finite_wavefront_radius(tmp_path, capsys):
+    # these points give a footprint, whose wavefronts render draws: a nan or
+    # inf radius exits 2 and writes no figure
+    csv = _write(tmp_path, "pts.csv", "0,5\n15,9\n30,5\n")
+    out = tmp_path / "fig.svg"
+    for t in ("nan", "inf"):
+        args = ["render", "--p", "2", "--v", "2", "--input", csv, "--wavefront-t", t]
+        assert cli.main(args + ["--output", str(out)]) == cli.EXIT_CONFIG
+        assert "radius" in capsys.readouterr().err
+        assert not out.exists()
+    assert cli.main(args[:-2] + ["--wavefront-t", "2", "--output", str(out)]) == cli.EXIT_OK
+    assert "nan" not in out.read_text()
+
+
 def test_build_json_is_byte_identical_on_fixed_corpus():
     # every (p, v) of the grid, ties and duplicates left in, each instance
     # both as drawn and folded above the highway

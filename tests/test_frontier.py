@@ -24,7 +24,6 @@ def singleton(pt, m):
         e.right_corner = pt
     else:
         e.chain = [pt]
-        e.t_idx = 0
     e.left_x = e.right_x = pt.x
     e.ymax = pt.y
     return e
@@ -88,7 +87,6 @@ def test_falling_edge_band_agrees_with_exhaustive_region_test():
         m = MetricParams.make(p, v)
         e = EnvelopeEntry()
         e.chain = [unit(hi, s), unit(lo, s)]
-        e.t_idx = 0
         e.left_x, e.right_x, e.ymax = s * hi.x, s * lo.x, s * hi.y
         f = Frontier(m)
         f.append(e)
@@ -103,3 +101,45 @@ def test_falling_edge_band_agrees_with_exhaustive_region_test():
                 continue
             want = any(x <= 0.0 for x in vertex_margins) or edge_hit
             assert (f.locate(unit(q, s)) == 0) == want, (p, v, q)
+
+
+# concave chains with strict and flat tops, inside and at either end
+TOPPED_CHAINS = {
+    "strict_inside": [(0, 1), (1, 3), (2, 3.5), (3, 3), (4, 1.5)],
+    "flat_inside": [(0, 1), (1, 3), (2, 3), (3, 2), (4, 0.5)],
+    "strict_left": [(0, 3), (1, 2.5), (2, 1)],
+    "flat_left": [(0, 3), (1, 3), (2, 1)],
+    "strict_right": [(0, 1), (1, 2), (2, 2.5)],
+    "flat_right": [(0, 1), (1, 2), (2, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOPPED_CHAINS))
+def test_locate_reads_the_top_off_the_chain(name):
+    # the reference takes the rightmost highest vertex by a full scan and
+    # tests the walking regions of the vertices and edges from there right
+    pts = [Point(float(x), float(y)) for x, y in TOPPED_CHAINS[name]]
+    top = max(range(len(pts)), key=lambda i: (pts[i].y, i))
+    rng = random.Random(name)
+    s = 2.0**-5
+    decided = 0
+    for p, v in ((1.3, 2.0), (2.0, 2.0), (3.0, 5.0), (7.0, 1.5)):
+        m = MetricParams.make(p, v)
+        e = EnvelopeEntry()
+        e.chain = [unit(g, s) for g in pts]
+        e.left_x, e.right_x, e.ymax = s * pts[0].x, s * pts[-1].x, s * pts[top].y
+        f = Frontier(m)
+        f.append(e)
+        queries = sorted(
+            (Point(rng.uniform(pts[-1].x, 20.0), rng.uniform(0.0, 10.0)) for _ in range(150)),
+            key=lambda q: q.x,
+        )
+        for q in queries:
+            vertex_margins = [pair_margin(q, g, m) for g in pts[top:]]
+            edges = [_edge_region_margin(q, edge, m) for edge in zip(pts[top:], pts[top + 1:])]
+            if min(abs(x) for x in vertex_margins) < GUARD or any(x < GUARD for _, x in edges):
+                continue
+            want = any(x <= 0.0 for x in vertex_margins) or any(hit for hit, _ in edges)
+            assert (f.locate(unit(q, s)) == 0) == want, (p, v, q)
+            decided += want
+    assert decided

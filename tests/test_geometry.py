@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from highwayhull import geometry
+from highwayhull import geometry, metric
 from highwayhull.geometry import (
     QuerySegment,
     closure_hull,
@@ -81,6 +81,26 @@ def test_lower_hull_mirrors_upper(raw):
     lo = list(lower_hull(pts))
     flipped = sorted(Point(q.x, -q.y) for q in pts)
     assert [Point(q.x, -q.y) for q in lo] == list(upper_hull(flipped))
+
+
+def test_turn_sign_is_the_unit_scale_sign_at_every_scale():
+    # triples 2^-540 to 2^-900 across, where the turn products underflow,
+    # 2^560 across, where they overflow, and with the abscissae and the
+    # ordinates scaled apart; the integer triples include collinear ones
+    def sign(t):
+        return (t > 0.0) - (t < 0.0)
+
+    rng = random.Random(37)
+    scales = [(k, k) for k in range(-540, -901, -40)] + [(560, 560), (0, -1000), (-1000, 0), (500, -500)]
+    for i in range(400):
+        if i % 2:
+            tri = [Point(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in range(3)]
+        else:
+            tri = [Point(rng.randint(-3, 3) / 4.0, rng.randint(-3, 3) / 4.0) for _ in range(3)]
+        want = sign(geometry._cross(*tri))
+        for kx, ky in scales:
+            scaled = [Point(math.ldexp(q.x, kx), math.ldexp(q.y, ky)) for q in tri]
+            assert sign(geometry._cross(*scaled)) == want, (tri, kx, ky)
 
 
 # -- metric closures ---------------------------------------------------------------
@@ -260,7 +280,6 @@ def test_unit_tangency_touches_the_curve_through_the_pivot(p, v):
     # own float uncertainty wherever that solver answers and the float
     # curve fixes the ordinate
     m = MetricParams.make(p, v)
-    unit = DiscriminatingCurve(Point(0.0, 1.0), "left", m)
     entry = -m.tan_alpha
     touched = 0
     for k in range(-6, 9):
@@ -271,7 +290,7 @@ def test_unit_tangency_touches_the_curve_through_the_pivot(p, v):
         for f in (1.0, 1e-3, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0):
             x = xr if f == 1.0 else entry + (xr - entry) * f
             try:
-                y = disc_curve_y(unit, x, method="generic")
+                y = metric._curve_generic(-x, 1.0, m)  # the left curve of (0, 1)
             except NumericError:
                 continue
             if y is None:

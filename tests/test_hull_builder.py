@@ -183,45 +183,24 @@ def test_box_strip_corner_tests_stay_linear(counted, p, v):
         assert counted["corner"] <= 1.5 * n, (p, v, n, counted["corner"])
 
 
-def _staircase(n):
-    # tall points on a nearly flat concave chain, each with a low point
-    # beside it that the next tall arrival merges
-    pts, x, y = [], 0.0, 100.0
-    for i in range(n // 2):
-        pts += [Point(x, y), Point(x + y, 0.5)]
-        x, y = x + 2.0 * y, y - (1e-6 + 1e-8 * i) * 2.0 * y
-    return pts
-
-
 def _tiny_cluster(seed):
-    # points 2^-600 across beside a unit point: the sweep's turn products
-    # underflow to zero and can pop a chain's top while two chains merge
+    # points 2^-600 across beside a unit point: in the unit frame their turn
+    # products underflow, so only a scale-safe turn test keeps their hulls
     rng = random.Random(seed)
     s = 2.0**-600
     return [Point(-1.0, 1.0)] + [Point(s * rng.uniform(0, 50), s * rng.uniform(0, 3))
                                  for _ in range(rng.randint(4, 24))]
 
 
-@pytest.mark.parametrize("p, pts", [(1.3, _staircase(512)), (2.0, _staircase(512)),
-                                    (2.0, _tiny_cluster(16))])
-def test_merge_keeps_the_rightmost_highest_top(monkeypatch, p, pts):
-    def top(chain):
-        return max(range(len(chain)), key=lambda i: (chain[i].y, i))
-
-    merge = hull_builder._SideBuilder._merge
-    checked = []
-
-    def merge_checked(self, left, right, events):
-        tops_in = left.t_idx == top(left.chain) and right.t_idx == top(right.chain)
-        out = merge(self, left, right, events)
-        if tops_in:
-            assert out.t_idx == top(out.chain)
-            checked.append(len(out.chain))
-        return out
-
-    monkeypatch.setattr(hull_builder._SideBuilder, "_merge", merge_checked)
-    hull_builder.build(pts, MetricParams.make(p, 2.0))
-    assert checked
+@pytest.mark.parametrize("p", [1.3, 2.0])
+def test_tiny_clusters_match_the_oracle(p):
+    m = MetricParams.make(p, 2.0)
+    mismatches = []
+    for seed in range(40):
+        pts = _tiny_cluster(seed)
+        if helpers.build_partition(pts, m) != helpers.canon(oracle.cluster(pts, m).partition):
+            mismatches.append(seed)
+    assert not mismatches
 
 
 # -- exposure captures: points governed by grown boundary pieces -------------------

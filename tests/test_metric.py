@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
+from highwayhull import metric
 from highwayhull.metric import (
     INF,
     DiscriminatingCurve,
@@ -264,6 +265,12 @@ def test_wavefront_requires_source_on_highway():
         wavefront(Point(0.0, 1.0), 1.0, MetricParams.make(2.0, 2.0))
 
 
+@pytest.mark.parametrize("t", [-1.0, -INF, INF, math.nan])
+def test_wavefront_radius_must_be_finite_and_non_negative(t):
+    with pytest.raises(InvalidInputError):
+        wavefront(Point(0.0, 0.0), t, MetricParams.make(2.0, 2.0))
+
+
 # -- discriminating curves --------------------------------------------------------
 
 def _curve_abscissa(c, m, rng):
@@ -306,7 +313,7 @@ def test_curve_generic_solver_matches_closed_forms():
             for _ in range(25):
                 x = _curve_abscissa(c, m, rng)
                 auto = disc_curve_y(c, x)
-                generic = disc_curve_y(c, x, method="generic")
+                generic = metric._curve_generic(x - q.x, q.y, m)
                 assert abs(auto - generic) < CURVE_TOL
 
 
