@@ -201,8 +201,11 @@ def _pname(p: float) -> str:
 
 def _cmd_render(ns: argparse.Namespace) -> int:
     m = _params(ns)
+    t = ns.wavefront_t
+    if t is not None and not 0.0 <= t < INF:
+        raise InvalidInputError("--wavefront-t: radius must be finite and non-negative, got %r" % t)
     pts = read_points(ns.input)
-    svg = render_svg(hull_builder.build(pts, m), pts, curves=ns.curves, wavefront_t=ns.wavefront_t)
+    svg = render_svg(hull_builder.build(pts, m), pts, curves=ns.curves, wavefront_t=t)
     _write(ns.output, svg)
     return EXIT_OK
 

@@ -4,9 +4,12 @@ A balanced segment tree over the x-sorted points keeps the upper hull of
 each node range.  A query decomposes the strip's strict interior into
 O(log n) covering nodes; in each, the hull vertex whose adjacent slopes
 bracket the query slope maximizes y - slope*x over the whole range, so one
-vertex test per node decides it.  Space: nodes built on first covering
-query, O(n log n) at most.  Query O(log^2 n), plus the first build of each
-node it covers.
+vertex test per node decides it.  A node's hull is built on first need:
+a leaf-size node folds `geometry.push_upper` over its own points, a larger
+one over its children's hulls, which are built and cached on the way, so
+every turn is the scale-safe `_cross`.  Space: O(n log n) at most.  Query
+O(log^2 n), plus the first build of each node it covers and of their
+descendants, O(m log m) for m points covered.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Sequence, Tuple
 
-from .geometry import QuerySegment
+from .geometry import QuerySegment, push_upper
 from .metric import InvalidInputError, Point
 
 _LEAF_SIZE = 8
@@ -33,43 +36,30 @@ class HullTree:
                 )
         self.leaves: Tuple[Point, ...] = tuple(points)
         self.xs: List[float] = [pt.x for pt in points]
-        self.ys: List[float] = [pt.y for pt in points]
-        # node id -> (hull xs, hull ys, ascending negated chain slopes)
-        self._nodes: Dict[int, Tuple[List[float], List[float], List[float]]] = {}
+        # node id -> (upper hull, ascending negated chain slopes)
+        self._nodes: Dict[int, Tuple[List[Point], List[float]]] = {}
 
-    def _node_hull(
-        self, node: int, lo: int, hi: int
-    ) -> Tuple[List[float], List[float], List[float]]:
-        # geometry.push_upper's monotone chain, inlined over the parallel
-        # coordinate lists the queries read: folding Points through the
-        # shared routine and splitting the result built a 2^15-point tree
-        # 1.4-1.7x slower (CPython 3.11 on a 2-core Xeon host)
-        hx: List[float] = []
-        hy: List[float] = []
-        xs, ys = self.xs, self.ys
-        for i in range(lo, hi):
-            x, y = xs[i], ys[i]
-            if hx and hx[-1] == x:
-                if y <= hy[-1]:
-                    continue
-                hx.pop()
-                hy.pop()
-            while len(hx) >= 2 and (y - hy[-1]) * (hx[-1] - hx[-2]) >= (
-                hy[-1] - hy[-2]
-            ) * (x - hx[-1]):
-                hx.pop()
-                hy.pop()
-            hx.append(x)
-            hy.append(y)
-        negs = [
-            -(hy[i + 1] - hy[i]) / (hx[i + 1] - hx[i]) for i in range(len(hx) - 1)
-        ]
-        hull = self._nodes[node] = (hx, hy, negs)
+    def _node_hull(self, node: int, lo: int, hi: int) -> Tuple[List[Point], List[float]]:
+        hull = self._nodes.get(node)
+        if hull is not None:
+            return hull
+        if hi - lo <= _LEAF_SIZE:
+            h: List[Point] = []
+            right: Sequence[Point] = self.leaves[lo:hi]
+        else:
+            mid = (lo + hi) // 2
+            h = list(self._node_hull(2 * node, lo, mid)[0])
+            right = self._node_hull(2 * node + 1, mid, hi)[0]
+        for q in right:
+            push_upper(h, q)
+        negs = [(a.y - b.y) / (b.x - a.x) for a, b in zip(h, h[1:])]
+        hull = self._nodes[node] = (h, negs)
         return hull
 
     def any_point_above(self, seg: QuerySegment) -> bool:
         """True iff a stored point with x strictly inside (seg.start.x,
-        seg.end.x) lies strictly above the segment's supporting line."""
+        seg.end.x) lies strictly above the line through seg.end with the
+        segment's slope."""
         n = len(self.leaves)
         if n == 0 or seg.start == seg.end:
             return False
@@ -78,23 +68,21 @@ class HullTree:
         if ql >= qr:
             return False
         slope = seg.slope
-        intercept = seg.start.y - slope * seg.start.x
-        nodes = self._nodes
+        intercept = seg.end.y - slope * seg.end.x
         stack = [(1, 0, n)]
         while stack:
             node, lo, hi = stack.pop()
             if qr <= lo or hi <= ql:
                 continue
             if ql <= lo and hi <= qr:
-                hx, hy, negs = nodes.get(node) or self._node_hull(node, lo, hi)
-                i = bisect_left(negs, -slope)
-                if hy[i] - slope * hx[i] > intercept:
+                h, negs = self._node_hull(node, lo, hi)
+                top = h[bisect_left(negs, -slope)]
+                if top.y - slope * top.x > intercept:
                     return True
                 continue
             if hi - lo <= _LEAF_SIZE:
-                ys, xs = self.ys, self.xs
-                for i in range(max(lo, ql), min(hi, qr)):
-                    if ys[i] - slope * xs[i] > intercept:
+                for q in self.leaves[max(lo, ql):min(hi, qr)]:
+                    if q.y - slope * q.x > intercept:
                         return True
                 continue
             mid = (lo + hi) // 2

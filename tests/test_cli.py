@@ -187,17 +187,32 @@ def test_render_produces_svg(tmp_path):
 
 
 def test_render_rejects_a_non_finite_wavefront_radius(tmp_path, capsys):
-    # these points give a footprint, whose wavefronts render draws: a nan or
-    # inf radius exits 2 and writes no figure
+    # these points give a footprint, whose wavefronts render draws: a nan,
+    # inf or negative radius exits 2 and writes no figure
     csv = _write(tmp_path, "pts.csv", "0,5\n15,9\n30,5\n")
     out = tmp_path / "fig.svg"
-    for t in ("nan", "inf"):
+    for t in ("nan", "inf", "-1"):
         args = ["render", "--p", "2", "--v", "2", "--input", csv, "--wavefront-t", t]
         assert cli.main(args + ["--output", str(out)]) == cli.EXIT_CONFIG
         assert "radius" in capsys.readouterr().err
         assert not out.exists()
     assert cli.main(args[:-2] + ["--wavefront-t", "2", "--output", str(out)]) == cli.EXIT_OK
     assert "nan" not in out.read_text()
+
+
+def test_render_checks_the_wavefront_radius_before_reading_the_input(tmp_path, capsys):
+    # the reference points give no footprint, so no wavefront is drawn; a
+    # radius that is not finite and non-negative still exits 2, and is
+    # rejected before a missing input file is noticed
+    csv = _write(tmp_path, "pts.csv", REFERENCE_CSV)
+    out = tmp_path / "fig.svg"
+    for t in ("nan", "inf", "-1"):
+        for path in (csv, str(tmp_path / "missing.csv")):
+            args = ["render", "--input", path, "--wavefront-t", t, "--output", str(out)]
+            assert cli.main(args) == cli.EXIT_CONFIG
+            assert "radius" in capsys.readouterr().err
+            assert not out.exists()
+    assert cli.main(["render", "--input", csv, "--wavefront-t", "0", "--output", str(out)]) == cli.EXIT_OK
 
 
 def test_build_json_is_byte_identical_on_fixed_corpus():

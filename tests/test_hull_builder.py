@@ -192,6 +192,31 @@ def _tiny_cluster(seed):
                                  for _ in range(rng.randint(4, 24))]
 
 
+def _tiny_strip(seed, n):
+    # n points 2^-560..2^-800 across beside a unit-size point, heights spread
+    # over two decades: box-metric exposure lines must keep their offset
+    rng = random.Random(seed)
+    s = 2.0 ** -rng.randint(560, 800)
+    lo, hi = math.log(0.05), math.log(5.0)
+    return [Point(-1.9, 1e-3)] + [Point(rng.uniform(0, n) * s, math.exp(rng.uniform(lo, hi)) * s)
+                                  for _ in range(n)]
+
+
+@pytest.mark.parametrize("p, v, n, seeds", [
+    (INF, 2.0, 16, range(20)),
+    (1.0, 2.0, 64, (7, 11, 57, 141)),
+    (1.0, INF, 64, (10, 124, 127)),
+])
+def test_tiny_strips_match_the_oracle(p, v, n, seeds):
+    m = MetricParams.make(p, v)
+    mismatches = []
+    for seed in seeds:
+        pts = _tiny_strip(seed, n)
+        if helpers.build_partition(pts, m) != helpers.canon(oracle.cluster(pts, m).partition):
+            mismatches.append(seed)
+    assert not mismatches
+
+
 @pytest.mark.parametrize("p", [1.3, 2.0])
 def test_tiny_clusters_match_the_oracle(p):
     m = MetricParams.make(p, 2.0)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -127,16 +128,60 @@ def test_tree_size_stays_log_linear():
         assert not tree.any_point_above(seg)
     bound = 4 * len(pts) * (math.log2(len(pts)) + 2)
     assert len(tree._nodes) > 500
-    assert sum(len(hx) for hx, _, _ in tree._nodes.values()) <= bound
+    assert sum(len(h) for h, _ in tree._nodes.values()) <= bound
 
 
-def test_narrow_query_builds_only_its_covering_nodes():
+def _leaf_ranges(node, lo, hi):
+    """Node id -> the leaf range [lo, hi) it covers, as the queries split it."""
+    out = {node: (lo, hi)}
+    if hi - lo > subpath_hull._LEAF_SIZE:
+        mid = (lo + hi) // 2
+        out.update(_leaf_ranges(2 * node, lo, mid))
+        out.update(_leaf_ranges(2 * node + 1, mid, hi))
+    return out
+
+
+def test_narrow_query_builds_only_nodes_inside_its_range():
+    # a node's hull is merged from its children's, so a query caches the
+    # nodes below its covering ones too, but none outside [ql, qr)
     rng = random.Random(59)
     n = 1 << 12
     pts = sorted({Point(float(i), rng.uniform(-1.0, 1.0)) for i in range(n)})
     tree = subpath_hull.build(pts)
     assert not tree.any_point_above(QuerySegment(Point(1000.5, 2.0), Point(1300.5, 2.0)))
-    assert 0 < len(tree._nodes) <= 2 * math.log2(n)
+    ql, qr = 1001, 1301  # the points sit at x = i
+    ranges = _leaf_ranges(1, 0, n)
+    assert all(ql <= ranges[node][0] and ranges[node][1] <= qr for node in tree._nodes)
+    leaf = subpath_hull._LEAF_SIZE
+    assert 0 < len(tree._nodes) <= 2 * math.ceil((qr - ql) / leaf) + 2 * math.log2(n)
+
+
+def _exactly_above(points, seg):
+    """Exact-rational scan: some point strictly inside the strip lies
+    strictly above the line through seg.end with the float slope."""
+    ex, ey, slope = Fraction(seg.end.x), Fraction(seg.end.y), Fraction(seg.slope)
+    return any(
+        Fraction(q.y) - ey > slope * (Fraction(q.x) - ex)
+        for q in points
+        if seg.start.x < q.x < seg.end.x
+    )
+
+
+def test_tiny_cluster_beside_a_unit_point_matches_an_exact_scan():
+    # 40 points 2^-540..2^-900 across: their hull turn products underflow,
+    # so only scale-safe turns keep every hull vertex
+    rng = random.Random(67)
+    mismatches = 0
+    for _ in range(50):
+        s = 2.0 ** -rng.randint(540, 900)
+        pts = sorted({Point(s * rng.random(), s * rng.random()) for _ in range(40)})
+        pts.append(Point(1.0, 1.0))
+        tree = subpath_hull.build(pts)
+        for _ in range(200):
+            x0, x1 = sorted(s * rng.uniform(-0.1, 1.1) for _ in range(2))
+            seg = QuerySegment(Point(x0, s * rng.random()), Point(x1, s * rng.random()))
+            mismatches += tree.any_point_above(seg) != _exactly_above(pts, seg)
+    assert mismatches == 0
 
 
 def test_answers_do_not_depend_on_query_order():
