@@ -9,8 +9,9 @@ therefore pull back to one condition on the unit curve: the tangent line
 there must pass through the pivot (-dx/dy, 0).  In polar form about the
 generator the unit curve is explicit, a focus-directrix curve whose point,
 normal and tangent depend on the direction alone, so each tangent is one
-root-find over a compact range of directions, with no inner curve solve
-(see _unit_tangency).
+root-find over a compact range of directions, with no inner curve solve;
+at p = 2 the curve is a parabola and the tangent a closed form (see
+_unit_tangency).
 
 All curve work happens in the upper half-plane (generator heights are
 taken as |y|); callers handling the lower side mirror their inputs.
@@ -25,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from scipy.optimize import brentq
 
 from .metric import (
+    FLOAT_EPS,
     INF,
     InvalidInputError,
     MetricParams,
@@ -41,6 +43,9 @@ _LOGIT_SPAN = 700.0
 _LOG_SENTINEL = 1e4
 # below this a turn's sign may come from subnormal products
 _TURN_FLOOR = 2.0**-960
+# widens the p = inf exposure clip past the rounding of the hull tree's
+# line test on unit-frame coordinates (|x|, |y| < 4)
+_CLIP_SLACK = 512.0 * FLOAT_EPS
 
 
 def _cross(o: Point, a: Point, b: Point) -> float:
@@ -235,14 +240,27 @@ def _unit_tangency(m: MetricParams, pivot_x: float) -> Tuple[float, float, float
     whose tangent line passes through (pivot_x, 0); pivot strictly left of
     the entry point.
 
-    Polar form.  With G = (0, 1), kappa = c - t/v and a direction u from G,
-    the curve point is G + r u with r = 2 kappa / (|u|_p - w.u), w =
-    (-1/v, kappa): the equality direct = highway is linear in r.  By the
-    definition of alpha, w lies on the unit sphere of the dual norm
-    (q = p/(p-1)) and is the gradient of |.|_p at u* = (-t, 1), so the
-    denominator is a Bregman gap of the p-norm: 1-homogeneous in u, zero at
-    the asymptote u* and 2 kappa at the entry direction (-t, -1), where
-    r = 1 reaches the entry (-t, 0).  The normal at G + r u is n = g(u) - w,
+    p = 2, closed form.  The dual norm is the 2-norm, so |w| = 1 and w =
+    (-s, c) with s = sin(alpha) = 1/v, c = cos(alpha) = kappa: the polar
+    form below, r (1 - w.u/|u|) = 2c, is a parabola with its focus at the
+    generator and its axis along w.  The highway touches it at the entry
+    (-t, 0), and the tangent through a pivot at offset d = pivot_x + t < 0
+    touches it at
+
+        (-t + d (2 - d s c), (c d)^2),  slope c^2 d / (1 - d s c),
+
+    with no root solve (v = inf: the parabola x^2 = 4y and the point
+    (2d, d^2) of slope d).  The squares are products, which overflow to
+    inf rather than raise, and a non-finite result raises NumericError.
+
+    Polar form (every other p).  With G = (0, 1), kappa = c - t/v and a
+    direction u from G, the curve point is G + r u with r = 2 kappa /
+    (|u|_p - w.u), w = (-1/v, kappa): the equality direct = highway is
+    linear in r.  By the definition of alpha, w lies on the unit sphere of
+    the dual norm (q = p/(p-1)) and is the gradient of |.|_p at u* =
+    (-t, 1), so the denominator is a Bregman gap of the p-norm:
+    1-homogeneous in u, zero at the asymptote u* and 2 kappa at the entry
+    direction (-t, -1), where r = 1 reaches the entry (-t, 0).  The normal at G + r u is n = g(u) - w,
     g the gradient of |.|_p, a function of u alone; by Euler's identity
     u.n is the same gap, so the tangent at u meets the axis at
     X(u) = (2 kappa + n_y) / n_x, which falls monotonically from -t at the
@@ -271,6 +289,19 @@ def _unit_tangency(m: MetricParams, pivot_x: float) -> Tuple[float, float, float
     entry = -t
     if pivot_x >= entry:
         raise InvalidInputError("pivot must lie strictly left of the unit entry")
+    if p == 2.0:
+        s = m.inv_v
+        c = math.sqrt((1.0 - s) * (1.0 + s))
+        d = pivot_x - entry
+        cd = c * d
+        xr = entry + d * (2.0 - cd * s)
+        eta = cd * cd
+        sig = c * cd / (1.0 - cd * s)
+        if not (math.isfinite(xr) and math.isfinite(eta) and math.isfinite(sig)):
+            raise NumericError(
+                "tangency beyond float range: pivot=%r p=%r v=%r" % (pivot_x, m.p, m.v)
+            )
+        return xr, eta, sig
     e = 1.0 - 1.0 / p
     far = -pivot_x
     # p-th power shares of (-t, +-1) and of its complement; w = (-wx, wy)
@@ -402,15 +433,16 @@ def exposed_boundary_segments(
     edge: Tuple[Point, Point],
     m: MetricParams,
     x_cap: float,
-    x_floor: Optional[float] = None,
+    y_top: Optional[float] = None,
 ) -> List[QuerySegment]:
     """Query segments covering the newly exposed left-boundary piece of an
     edge (1 < p < inf) or governing box corner (p in {1, inf}; pass the
     corner as a degenerate edge), clipped to x <= x_cap.
 
-    For p = inf the boundary line is unbounded to the upper left, so the
-    caller must supply x_floor, a lower abscissa bound covering every
-    stored point.
+    For p = inf the boundary line x + y = cx - cy is unbounded to the upper
+    left, so the caller must supply y_top, the height of its tallest
+    stored point: no point left of x = cx - cy - y_top lies above the line,
+    and the segment starts there, less a rounding slack of the unit frame.
     """
     a, b = edge
     if m.closure_kind == "axis_box":
@@ -430,14 +462,15 @@ def exposed_boundary_segments(
     if m.closure_kind == "diamond_box":
         if a != b:
             raise InvalidInputError("box metrics expose corners; pass (corner, corner)")
-        if x_floor is None:
-            raise InvalidInputError("p=inf exposure needs an explicit x_floor")
+        if y_top is None:
+            raise InvalidInputError("p=inf exposure needs an explicit y_top")
         cx, cy = a.x, abs(a.y)
-        hi = min(cx, x_cap)
-        if hi <= x_floor:
-            return []
         base = cx - cy
-        return [QuerySegment(Point(x_floor, base - x_floor), Point(hi, base - hi))]
+        lo = base - y_top - _CLIP_SLACK
+        hi = min(cx, x_cap)
+        if hi <= lo:
+            return []
+        return [QuerySegment(Point(lo, base - lo), Point(hi, base - hi))]
     if a == b:
         return []
     if a.x > b.x:

@@ -134,11 +134,11 @@ class _SideBuilder:
         self.m = m
         self.frontier = Frontier(m)
         self.tree = None
-        # below every stored point, by a unit of the frame
-        self.x_floor = (pts[0].x - 1.0) if pts else 0.0
         self.kind = m.closure_kind
         # the exposing corner: the box's upper left for p = 1, the apex for p = inf
         self.apex_exposes = self.kind == "diamond_box"
+        # p = inf exposure segments start where their line passes this height
+        self.y_top = max((pt.y for pt in pts), default=0.0) if self.apex_exposes else None
 
     # -- cluster state maintenance -------------------------------------
 
@@ -238,7 +238,7 @@ class _SideBuilder:
                 return
             e = events[-1]
             segs = exposed_boundary_segments(
-                e, self.m, x_cap=live[-1].left_x, x_floor=self.x_floor
+                e, self.m, x_cap=live[-1].left_x, y_top=self.y_top
             )
             hit = False
             if segs:

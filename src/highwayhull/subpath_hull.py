@@ -9,7 +9,8 @@ a leaf-size node folds `geometry.push_upper` over its own points, a larger
 one over its children's hulls, which are built and cached on the way, so
 every turn is the scale-safe `_cross`.  Space: O(n log n) at most.  Query
 O(log^2 n), plus the first build of each node it covers and of their
-descendants, O(m log m) for m points covered.
+descendants, O(m log m) for m points covered; a query over a few leaves'
+worth of points tests each of them directly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .geometry import QuerySegment, push_upper
 from .metric import InvalidInputError, Point
 
 _LEAF_SIZE = 8
+# a query over at most this many points scans them without node hulls
+_SCAN_SIZE = 4 * _LEAF_SIZE
 
 
 class HullTree:
@@ -69,6 +72,8 @@ class HullTree:
             return False
         slope = seg.slope
         intercept = seg.end.y - slope * seg.end.x
+        if qr - ql <= _SCAN_SIZE:
+            return any(q.y - slope * q.x > intercept for q in self.leaves[ql:qr])
         stack = [(1, 0, n)]
         while stack:
             node, lo, hi = stack.pop()

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -322,6 +323,43 @@ def test_unit_tangency_next_to_the_entry_stays_at_the_entry(p, v):
         assert abs(yr - s * (xr - pivot)) <= 1e-12
 
 
+P2_SPEEDS = [1.0 + 1e-7, 1.01, 1.1, 2.0, 5.0, 1e3, INF]
+
+
+@pytest.mark.parametrize("v", P2_SPEEDS)
+def test_p2_unit_tangency_lies_on_the_parabola_through_the_pivot(v):
+    # the closed form's float outputs, checked exactly: on the unit curve
+    # x^2 + (y - 1)^2 = (kappa (1 + y) - x / v)^2 to 1e-12 relative, on a
+    # line through the pivot (to 1e-12 relative plus the rounding of the
+    # abscissae), falling to the left; pivots from an ulp to 1e150 left of
+    # the entry
+    m = MetricParams.make(2.0, v)
+    entry = -m.tan_alpha
+    s = Fraction(m.inv_v)
+    kappa = Fraction(math.sqrt((1 - s) * (1 + s)))
+    pivots = [math.nextafter(entry, -INF)]
+    pivots += [entry - 10.0**k for k in range(-12, 151, 2) if entry - 10.0**k < entry]
+    for pivot in pivots:
+        xr, yr, sl = geometry._unit_tangency(m, pivot)
+        assert sl <= 0.0
+        x, y, slope = Fraction(xr), Fraction(yr), Fraction(sl)
+        lhs = x * x + (y - 1) ** 2
+        rhs = (kappa * (1 + y) - x * s) ** 2
+        assert abs(lhs - rhs) <= Fraction(1e-12) * max(lhs, rhs), (pivot, xr, yr)
+        line = slope * (x - Fraction(pivot))
+        slack = Fraction(1e-12) * y + abs(slope) * Fraction(4.0 * FLOAT_EPS * max(-xr, -pivot))
+        slack += Fraction(2.0**-1074)  # eta underflows at a subnormal pivot
+        assert abs(line - y) <= slack, (pivot, yr, sl)
+
+
+@pytest.mark.parametrize("v", P2_SPEEDS)
+def test_p2_unit_tangency_beyond_float_range_is_a_numeric_error(v):
+    m = MetricParams.make(2.0, v)
+    for pivot in (-1e160, -1e300, -1.7e308):
+        with pytest.raises(NumericError, match="tangency beyond float range"):
+            geometry._unit_tangency(m, pivot)
+
+
 def test_unit_tangency_touches_the_corner_of_a_near_l1_curve():
     # at p = 1 + 1e-7 alpha underflows and, to float precision, the unit
     # curve is the L1 one: the ray y = |x| / 6 (v = 1.5) from the entry
@@ -366,9 +404,12 @@ def test_exposure_box_corner_l1():
 def test_exposure_box_corner_linf():
     m = MetricParams.make(INF, 2.0)
     corner = (Point(2.0, 3.0), Point(2.0, 3.0))
-    (seg,) = exposed_boundary_segments(corner, m, x_cap=10.0, x_floor=-6.0)
-    assert seg.start == Point(-6.0, 5.0) and seg.end == Point(2.0, -3.0)
-    assert exposed_boundary_segments(corner, m, x_cap=-7.0, x_floor=-6.0) == []
+    # on the line x + y = -1, from a rounding slack left of x = -1 - y_top,
+    # where it passes the tallest point's height, to the corner
+    (seg,) = exposed_boundary_segments(corner, m, x_cap=10.0, y_top=5.0)
+    assert seg.end == Point(2.0, -3.0)
+    assert -6.0 - 1e-12 < seg.start.x < -6.0 and seg.start.x + seg.start.y == -1.0
+    assert exposed_boundary_segments(corner, m, x_cap=-7.0, y_top=5.0) == []
     with pytest.raises(InvalidInputError):
         exposed_boundary_segments(corner, m, x_cap=10.0)
 

@@ -111,12 +111,19 @@ def test_tangent_collapsed_onto_highway_is_skipped():
     pts = [Point(-4.0, 1.0), Point(-2.0, 0.0), Point(-5.0, 3.0)]
     assert helpers.build_partition(pts, m) == ((0, 2), (1,))
     assert helpers.canon(oracle.cluster(pts, m).partition) == ((0, 2), (1,))
-    # an edge whose pivot lies an ulp left of the entry: its tangent
-    # collapses onto the highway, a band of zero height and zero slope
-    # that locate skips for the highway point (2, 0)
-    m = MetricParams.make(2.0, 2.0)
+    # an edge whose pivot lies an ulp left of the entry: the polar solve
+    # (p = 1.3) collapses its tangent onto the highway, a band of zero
+    # height and zero slope that locate skips for the highway point (2, 0)
+    m = MetricParams.make(1.3, 2.0)
     dx = math.nextafter(2.0 * m.tan_alpha, INF)
     assert right_edge_tangent(Point(0.0, 3.0), Point(dx, 1.0), m)[2] == 0.0
+    pts = [Point(dx, 1.0), Point(2.0, 0.0), Point(0.0, 3.0)]
+    assert helpers.build_partition(pts, m) == helpers.canon(oracle.cluster(pts, m).partition)
+    # the p = 2 closed form keeps a band of height (c d)^2, under 1e-30
+    m = MetricParams.make(2.0, 2.0)
+    dx = math.nextafter(2.0 * m.tan_alpha, INF)
+    lo, hi, _ = right_edge_tangent(Point(0.0, 3.0), Point(dx, 1.0), m)
+    assert 0.0 <= lo.y < 1e-30 and 0.0 <= hi.y < 1e-30
     pts = [Point(dx, 1.0), Point(2.0, 0.0), Point(0.0, 3.0)]
     assert helpers.build_partition(pts, m) == ((0, 2), (1,))
     assert helpers.canon(oracle.cluster(pts, m).partition) == ((0, 2), (1,))
@@ -145,14 +152,7 @@ def test_far_pivot_tangents_match_oracle(p, d):
     pts = [Point(0.0, 100.0), Point(200.0, 100.0 - d), Point(350.0, 1.0)]
     want = helpers.canon(oracle.cluster(pts, m).partition)
     assert want == ((0, 1), (2,))
-    try:
-        got = helpers.build_partition(pts, m)
-    except NumericError as ex:
-        # beyond the float range of the polar solve; typed, with context
-        assert p == 2.0 and d <= 2e-10, ex
-        assert "p=%r v=%r" % (p, 2.0) in str(ex)
-        return
-    assert got == want
+    assert helpers.build_partition(pts, m) == want
 
 
 def _strip(rng, n):
@@ -169,6 +169,13 @@ def test_strip_tangents_make_no_curve_solves(counted):
     assert counted["curve"] == 0
     assert counted["brentq"] <= solves
     assert counted["evals"] <= 40 * solves
+
+
+def test_p2_strip_tangents_make_no_root_solves(counted):
+    # at p = 2 every tangent is the parabola's closed form
+    tch = hull_builder.build(_strip(random.Random(11), 2048), MetricParams.make(2.0, 2.0))
+    assert counted["tangent"] > 100 and len(tch.clusters) > 50
+    assert counted["brentq"] == 0 and counted["curve"] == 0
 
 
 @pytest.mark.parametrize("p, v", [(INF, 2.0), (1.0, INF)])
