@@ -235,6 +235,13 @@ def _young_gap(x: float, xe: float, y: float, dxy: float, p: float) -> float:
     return x * (1.0 - 1.0 / p) + y / p - xe * y ** (1.0 / p)
 
 
+def _p2_cos_alpha(v: float) -> float:
+    """cos(alpha) = sqrt((1 - 1/v) (1 + 1/v)) at p = 2.  1 - 1/v is taken
+    as -expm1(-log v), which does not carry the rounding of 1/v as v -> 1;
+    1 at v = inf."""
+    return math.sqrt(-math.expm1(-math.log(v)) * (1.0 + 1.0 / v))
+
+
 def _unit_tangency(m: MetricParams, pivot_x: float) -> Tuple[float, float, float]:
     """(abscissa, ordinate, slope) of the point on the left curve of (0, 1)
     whose tangent line passes through (pivot_x, 0); pivot strictly left of
@@ -291,7 +298,7 @@ def _unit_tangency(m: MetricParams, pivot_x: float) -> Tuple[float, float, float
         raise InvalidInputError("pivot must lie strictly left of the unit entry")
     if p == 2.0:
         s = m.inv_v
-        c = math.sqrt((1.0 - s) * (1.0 + s))
+        c = _p2_cos_alpha(m.v)
         d = pivot_x - entry
         cd = c * d
         xr = entry + d * (2.0 - cd * s)

@@ -5,10 +5,10 @@ and scales it by the power of two 2^-e that puts the largest |coordinate|
 in [1, 2); the result is scaled back by 2^e.  Travel time is
 1-homogeneous, and a power-of-two scaling is exact in floats, so the
 answer is the same at every scale.  Inside the frame every member has
-|x| < 2, so each tolerance (EPS_REGION, the reach slack, the stage-one
-window) is a constant.  The one limit: a nonzero coordinate more than
-about 2^1021 below the largest becomes subnormal in the frame and loses
-bits, and points that collapse there are reported as duplicates.
+|x| < 2, so each tolerance (EPS_REGION, the reach slack) is a constant.
+The one limit: a nonzero coordinate more than about 2^1021 below the
+largest becomes subnormal in the frame and loses bits, and points that
+collapse there are reported as duplicates.
 
 Points are deduplicated, split by side of the highway (y == 0 counts as
 above), and each side is clustered by one left-to-right sweep: an arrival
@@ -20,22 +20,25 @@ older boundary, so those pieces are queried against the static point set
 with the subpath hull structure and every hit merges the rightmost pair
 of clusters; the loop runs until no exposure hits.
 
-Sides are then joined: two clusters merge when some member pair walks, or
-when a member of one lies in the walking region of a closure edge or
-virtual corner of the other.  Stage one tests opposite-side member pairs
-only inside the entry cone |dx| <= kx (|ay| + |by|) + D of
-`metric.cross_side_window`, scanning the below members band by band of
-|y|.  Growth of merged closures can expose more points, so the join then
-iterates to a fixed point: components are swept in x-span order with the
-reach slack, edge-region tests are cut to the reach box of
-`reach_coefficient`'s linear-margin lemma, and each round rebuilds and
+Sides are then joined.  Each swept cluster's closure is built once,
+right after the sweeps, and the join starts from those closures.  Two
+components merge when a closure generator of one walks to one of the
+other, or lies in the walking region of a closure edge or virtual corner
+of the other.  That test on the closures alone finds every member pair
+that walks: by the cone lemma (`_point_in_edge_region`) an opposite-side
+pair walks only when the pair's highway entry intervals meet, the
+intervals are affine on a one-sided closure, so their union is spanned
+by its boundary, and the edge test decides meeting entries exactly.
+Growth of merged closures can expose more points, so the join iterates to
+a fixed point: components are swept in x-span order with the reach slack,
+edge-region tests are cut to the reach box of `reach_coefficient`'s
+linear-margin lemma, and each round rebuilds, from their members, and
 retests only the components the previous round changed.  An edge-region
 test is decided exactly, in every regime, when some edge point's highway
 entries overlap the point's (in) or the edge lies wholly on the far side
 with the entries apart (out, by the cone lemma); only same-side and
-highway-crossing edges are left to a bounded minimizer.  A side holding
-a single swept cluster keeps that cluster's incrementally built upper
-chain; its lower chain is folded over the members at assembly.
+highway-crossing edges are left to a bounded minimizer.  Assembly reuses
+a cluster's closure on a side that holds that cluster alone.
 
 Footprints and bridges come last: a cluster's footprint spans the highway
 interval its internal shortest paths ride, and bridges fill the highway
@@ -48,7 +51,7 @@ ride, so every pair a sweep skips is decided without a predicate call.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat, takewhile
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -74,7 +77,6 @@ from .metric import (
     _lp,
     box_coords,
     box_point,
-    cross_side_window,
     in_walking_region,
     reach_coefficient,
     reach_slack,
@@ -314,12 +316,18 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
 
     Two exact rules hold in every regime.  If some edge point's entries
     meet u's, u is in (walking trivially beats a doubled-back ride).
-    Otherwise an edge wholly on the far side of the highway is out: by the
-    cone lemma of `metric.cross_side_window`, direct - highway = Y f(r) > 0
-    at each of its points once the entries are apart.  Same-side and
-    highway-crossing edges left over go to a bounded minimizer of
-    direct - highway; EPS_REGION absorbs only its error at the unit
-    frame's scale.
+    Otherwise an edge wholly on the far side of the highway is out, by the
+    cone lemma: for opposite-side points with Y = |ay| + |by| and
+    r = |dx| / Y >= t (t = tan(alpha), c = lp(t, 1)),
+
+        direct - highway = Y f(r),  f(r) = lp(r, 1) - c - (r - t) / v,
+
+    and f is convex with f(t) = f'(t) = 0, alpha being where the walking
+    slope meets 1/v, so f(r) > 0 for r > t: opposite-side points walk
+    exactly when their entry intervals [x - |y| t, x + |y| t] meet.
+    Same-side and highway-crossing edges left over go to a bounded
+    minimizer of direct - highway; EPS_REGION absorbs only its error at
+    the unit frame's scale.
     """
     if in_walking_region(a, u, m) or in_walking_region(b, u, m):
         return True
@@ -365,13 +373,10 @@ class _Component:
     ymax: float
 
 
-def _component(pts_a: List[Point], pts_b: List[Point], m: MetricParams) -> _Component:
+def _component(hulls: Sequence[ClosureHull]) -> _Component:
     gens: List[Point] = []
     edges: List[Tuple[Point, Point, float, float, float]] = []
-    for pts in (pts_a, pts_b):
-        if not pts:
-            continue
-        h = closure_hull(pts, m)
+    for h in hulls:
         gens.extend(_boundary_generators(h))
         for a, b in _boundary_edges(h):
             edges.append((a, b, min(a.x, b.x), max(a.x, b.x), max(abs(a.y), abs(b.y))))
@@ -424,65 +429,18 @@ class _UnionFind:
         return list(out.values())
 
 
-def _link_member_pairs(
-    groups: Sequence[List[Point]], n_above: int, uf: _UnionFind, m: MetricParams
-) -> None:
-    """Stage 1: union groups 0..n_above-1 (above) with the rest (below)
-    through member pairs that walk.
-
-    By the cone lemma of `metric.cross_side_window` such a pair has
-    |dx| <= kx Y + D, so each above member scans the below members band by
-    band (bands of |y| doubling, those under 2^-30 of the tallest merged),
-    within that window at the band's top height.  The reach filter
-    |dx| <= k Y and the range of a scan against the tallest below member
-    stay as well: at v -> 1 rounding links pairs beyond k Y, and the join
-    has never tested those.  D = 2 dcoef, as every |x| < 2 in the unit
-    frame.
-    """
-    k = reach_coefficient(m)
-    kx, dcoef = cross_side_window(m)
-    d = 2.0 * dcoef
-    find = uf.find
-    by_band: Dict[int, List[Tuple[float, float, int]]] = {}
-    ymax_b = max(-p.y for pts in groups[n_above:] for p in pts)
-    e_floor = math.frexp(ymax_b)[1] - 30
-    for gi in range(n_above, len(groups)):
-        for p in groups[gi]:
-            by_band.setdefault(max(math.frexp(-p.y)[1], e_floor), []).append((p.x, p.y, gi))
-    bands = []
-    for flat in by_band.values():
-        flat.sort()
-        bands.append(([t[0] for t in flat], flat, max(-t[1] for t in flat)))
-    for gi in range(n_above):
-        for p in groups[gi]:
-            if uf.count == 1:
-                return
-            reach = k * (p.y + ymax_b)
-            lo_x, hi_x = p.x - reach, p.x + reach
-            for xs_b, flat_b, yhi in bands:
-                w = kx * (p.y + yhi) + d
-                lo = bisect_left(xs_b, max(lo_x, p.x - w))
-                hi = bisect_right(xs_b, min(hi_x, p.x + w))
-                for t in range(lo, hi):
-                    bx, by, gj = flat_b[t]
-                    dx = abs(p.x - bx)
-                    if dx > k * (p.y + abs(by)) or dx > kx * (p.y + abs(by)) + d:
-                        continue
-                    if find(gi) != find(gj) and in_walking_region(p, Point(bx, by), m):
-                        uf.union(gi, gj)
-                        if uf.count == 1:
-                            return
-
-
-def _grow_to_fixpoint(groups: Sequence[List[Point]], uf: _UnionFind, m: MetricParams) -> None:
+def _grow_to_fixpoint(groups: Sequence[List[Point]], closures: Sequence[ClosureHull],
+                      uf: _UnionFind, m: MetricParams) -> None:
     """Union components until no closure generator, edge or virtual corner
     of one captures a boundary generator of another (either side).
 
-    Components are swept by the low end of their x-span with the reach
-    slack; only components changed in the previous round are rebuilt, and
-    only pairs with a changed side are retested.  Unions do not depend on
-    the order pairs are tested in, so every round ends with the partition
-    that testing every pair would give.
+    `closures[i]` is the closure of `groups[i]`.  A component of one group
+    starts from it; a component of several is rebuilt, one closure per
+    side, from its members.  Components are swept by the low end of their
+    x-span with the reach slack; only components changed in the previous
+    round are rebuilt, and only pairs with a changed side are retested.
+    Unions do not depend on the order pairs are tested in, so every round
+    ends with the partition that testing every pair would give.
     """
     k = reach_coefficient(m)
     kr, dr = reach_slack(m, EPS_REGION)
@@ -495,11 +453,14 @@ def _grow_to_fixpoint(groups: Sequence[List[Point]], uf: _UnionFind, m: MetricPa
             members.setdefault(find(i), []).append(i)
         comps = {r: comps[r] for r in members if fresh is not None and r not in fresh}
         for r, gis in members.items():
-            if r not in comps:
+            if r in comps:
+                continue
+            if len(gis) == 1:
+                comps[r] = _component([closures[gis[0]]])
+            else:
                 pts = [p for gi in gis for p in groups[gi]]
-                comps[r] = _component(
-                    [p for p in pts if p.y >= 0.0], [p for p in pts if p.y < 0.0], m
-                )
+                sides = ([p for p in pts if p.y >= 0.0], [p for p in pts if p.y < 0.0])
+                comps[r] = _component([closure_hull(side, m) for side in sides if side])
         order = sorted(comps, key=lambda r: comps[r].lo)
         los = [comps[r].lo for r in order]
         ym_all = max(c.ymax for c in comps.values())
@@ -527,21 +488,17 @@ def _grow_to_fixpoint(groups: Sequence[List[Point]], uf: _UnionFind, m: MetricPa
 
 
 def cross_side_merge(
-    above_groups: Sequence[List[Point]], below_groups: Sequence[List[Point]], m: MetricParams
+    groups: Sequence[List[Point]], closures: Sequence[ClosureHull], m: MetricParams
 ) -> List[List[int]]:
-    """Union per-side clusters into mixed components.
+    """Union one-sided clusters into mixed components.
 
-    Each group is a cluster's member points in the unit frame of `build`;
-    the result lists each component's group indices (above groups first,
-    then below ones) in increasing order, components by their smallest
-    index.
-    Stage one unions via cross-side member pairs; the fixpoint stage then
-    grows components whose merged closures expose further members.
+    `groups[i]` is a swept cluster's member points in the unit frame of
+    `build` and `closures[i]` its closure; the result lists each
+    component's group indices in increasing order, components by their
+    smallest index.  The join is the fixpoint of `_grow_to_fixpoint`.
     """
-    groups = list(above_groups) + list(below_groups)
     uf = _UnionFind(len(groups))
-    _link_member_pairs(groups, len(above_groups), uf, m)
-    _grow_to_fixpoint(groups, uf, m)
+    _grow_to_fixpoint(groups, closures, uf, m)
     return uf.groups()
 
 
@@ -661,28 +618,27 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     sides = [_SideBuilder([side_pts[i] for i in ids], ids, m).run() for ids in (above, below)]
     lives = sides[0] + sides[1]
     n_above = len(sides[0])
+    # one closure per swept cluster, built once for the join and assembly
+    if m.closure_kind == "convex":
+        closures = [_side_closure(c, side_pts, gi >= n_above) for gi, c in enumerate(lives)]
+    else:
+        closures = [closure_hull([dedup[i] for i in c.member_ids], m) for c in lives]
 
     if 0 < n_above < len(lives):
-        comps = cross_side_merge(
-            [[dedup[i] for i in c.member_ids] for c in lives[:n_above]],
-            [[dedup[i] for i in c.member_ids] for c in lives[n_above:]],
-            m,
-        )
+        comps = cross_side_merge([[dedup[i] for i in c.member_ids] for c in lives], closures, m)
     else:
         comps = [[i] for i in range(len(lives))]
     # clusters in order of their leftmost member
     comps.sort(key=lambda comp: min(lives[gi].left_x for gi in comp))
 
-    # a convex side holding exactly one live cluster reuses its incrementally
-    # built chains; box sides and sides gathered from several clusters are
-    # rebuilt from their members
+    # a side holding one live cluster reuses its closure; sides gathered
+    # from several clusters are rebuilt from their members
     clusters: List[Cluster] = []
     for comp in comps:
         hulls: List[Optional[ClosureHull]] = []
-        for mirror, side in ((False, [i for i in comp if i < n_above]),
-                             (True, [i for i in comp if i >= n_above])):
-            if len(side) == 1 and m.closure_kind == "convex":
-                hulls.append(_side_closure(lives[side[0]], side_pts, mirror))
+        for side in ([i for i in comp if i < n_above], [i for i in comp if i >= n_above]):
+            if len(side) == 1:
+                hulls.append(closures[side[0]])
             elif side:
                 hulls.append(closure_hull([dedup[i] for gi in side for i in lives[gi].member_ids], m))
             else:
@@ -691,7 +647,7 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         clusters.append(Cluster(members, hulls[0], hulls[1]))
 
     # free the sweep state before the output is mapped back
-    del sides, lives, dedup, side_pts, orig
+    del sides, lives, closures, dedup, side_pts, orig
     tch = footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters))
     # back to the caller's frame, in place
     s = 2.0**e

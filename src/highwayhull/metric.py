@@ -105,9 +105,11 @@ class MetricParams:
         else:
             kind = "convex"
             num = v ** (1.0 / (1.0 - p))
-            den = math.sqrt(v ** (2.0 / (1.0 - p)) + (1.0 - v ** (p / (1.0 - p))) ** (2.0 / p))
+            # 1 - v^(p/(1-p)), free of cancellation as v -> 1
+            rest = -math.expm1(p / (1.0 - p) * math.log(v))
+            den = math.sqrt(v ** (2.0 / (1.0 - p)) + rest ** (2.0 / p))
             a = math.asin(num / den)
-            t = num / (1.0 - v ** (p / (1.0 - p))) ** (1.0 / p)
+            t = num / rest ** (1.0 / p)
             c = (1.0 + t**p) ** (1.0 / p)
         return cls(p=p, v=v, alpha=a, tan_alpha=t, descent_cost=c, inv_v=1.0 / v,
                    closure_kind=kind, vertical_descent=t == 0.0)
@@ -151,47 +153,6 @@ def reach_slack(m: MetricParams, eps: float = 0.0) -> tuple[float, float]:
     kr = k * (1.0 + 1e-9) + 64.0 * FLOAT_EPS * (k + m.descent_cost) / w
     dr = (2.0 * eps + 256.0 * FLOAT_EPS) / w
     return kr, dr
-
-
-def cross_side_window(m: MetricParams) -> tuple[float, float]:
-    """(kx, dcoef): opposite-side points a, b (ay >= 0 > by) that the float
-    in_walking_region links satisfy |ax - bx| <= kx Y + dcoef X, where
-    Y = |ay| + |by| and X bounds |ax| and |bx|.
-
-    Cone lemma: with r = |dx| / Y, direct - highway = Y f(r) for r >= t,
-    f(r) = lp(r, 1) - c - (r - t) / v (t = tan(alpha), c = lp(t, 1)).  f is
-    convex with f(t) = f'(t) = 0, alpha being where the walking slope meets
-    1/v, so opposite-side pairs link only inside the cone r <= t.
-
-    Rounding guard: floats tie pairs a little beyond the cone.  kx is the
-    r in [t, K] found by bisection where the float f clears 2^-40 (c + r);
-    beyond it convexity gives f(r) >= s0 (r - t) with the chord slope
-    s0 = f(kx) / (kx - t), which outgrows the predicate's rounding, relative
-    (~eps Y (c + r)) and absolute (~eps X, from the highway gap's
-    abscissae), once |dx| > kx Y + 32 eps X / s0.  When no r <= K clears the
-    threshold (p = inf, where t = K; large p with v -> 1, e.g. p = 1e6 at
-    v = 1 + 1e-7) the window falls back to (K, 0), the reach bound itself.
-    """
-    k = reach_coefficient(m)
-    t, c = m.tan_alpha, m.descent_cost
-
-    def f(r: float) -> float:
-        return lp_distance(Point(0.0, 0.0), Point(r, 1.0), m.p) - c - (r - t) * m.inv_v
-
-    def clear(r: float) -> bool:
-        return f(r) > 2.0**-40 * (c + r)
-
-    if not (k > t and clear(k)):
-        return k, 0.0
-    lo, hi = t, k
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if clear(mid):
-            hi = mid
-        else:
-            lo = mid
-    s0 = f(hi) / (hi - t)
-    return hi, 32.0 * FLOAT_EPS / s0
 
 
 def lp_distance(a: Point, b: Point, p: float) -> float:

@@ -15,6 +15,7 @@ from .hull_builder import TimeConvexHull
 from .metric import (
     DiscriminatingCurve,
     MetricParams,
+    NumericError,
     Point,
     _p_circle_y,
     disc_curve_y,
@@ -94,7 +95,7 @@ def _region_curves(g: Point, m: MetricParams, span: float) -> List[List[Point]]:
         for x in xs:
             try:
                 y = disc_curve_y(c, x)
-            except Exception:
+            except NumericError:
                 break
             if y is None:
                 break

@@ -9,8 +9,8 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import helpers
-from highwayhull import cli, hull_builder
-from highwayhull.metric import INF, MetricParams, Point
+from highwayhull import cli, hull_builder, render
+from highwayhull.metric import INF, MetricParams, NumericError, Point
 
 # SHA-256 of the fixed corpus's concatenated build JSON.  A refactor must
 # reproduce it byte for byte; a change meant to alter outputs re-pins it.
@@ -184,6 +184,38 @@ def test_render_produces_svg(tmp_path):
     root = ET.fromstring(open(out).read())
     assert root.tag.endswith("svg")
     assert len(list(root.iter())) > 10
+
+
+def test_render_stops_a_curve_at_a_numeric_error(tmp_path, monkeypatch):
+    # at p = 1.3, v = inf the curve solve fails to bracket far out; render
+    # drops the rest of that curve and still writes the figure
+    errors = []
+    curve_y = render.disc_curve_y
+
+    def counted(c, x):
+        try:
+            return curve_y(c, x)
+        except NumericError:
+            errors.append(x)
+            raise
+
+    monkeypatch.setattr(render, "disc_curve_y", counted)
+    csv = _write(tmp_path, "far.csv", "0,0.01\n1500,0.01\n")
+    out = str(tmp_path / "far.svg")
+    args = ["render", "--curves", "--p", "1.3", "--v", "inf", "--input", csv, "--output", out]
+    assert cli.main(args) == cli.EXIT_OK
+    assert len(errors) == 4
+
+
+def test_render_lets_other_curve_errors_propagate(monkeypatch):
+    def broken(c, x):
+        raise ZeroDivisionError("not a numeric failure of the curve solve")
+
+    monkeypatch.setattr(render, "disc_curve_y", broken)
+    pts = [Point(0.0, 1.0), Point(0.5, 1.0), Point(100.0, 1.0), Point(50.0, -30.0)]
+    tch = hull_builder.build(pts, MetricParams.make(2.0, 2.0))
+    with pytest.raises(ZeroDivisionError):
+        render.render_svg(tch, pts, curves=True)
 
 
 def test_render_rejects_a_non_finite_wavefront_radius(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Cross-side join: the windowed stage 1 and the swept fixpoint against the
-plain all-pairs join they replace, plus call-count guards on the pruning."""
+"""Cross-side join: the swept fixpoint over the sweep's closures against
+the plain all-pairs join of members and closures, plus call-count guards
+on the pruning."""
 
 from __future__ import annotations
 
@@ -9,15 +10,16 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+import pytest
+
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.geometry import closure_hull
+from highwayhull.geometry import ClosureHull, closure_hull
 from highwayhull.metric import (
     INF,
     MetricParams,
     NumericError,
     Point,
-    cross_side_window,
     in_walking_region,
     reach_coefficient,
 )
@@ -66,7 +68,8 @@ def _groups(parent: List[int]) -> List[List[int]]:
 
 
 def reference_member_pairs(groups: List[List[Point]], n_above: int, m: MetricParams) -> List[int]:
-    """Stage 1 over every below member in the reach of the tallest one."""
+    """Links through member pairs: each above member against every below
+    member in the reach of the tallest one."""
     parent = list(range(len(groups)))
     k = reach_coefficient(m)
     flat_b = sorted((p.x, p.y, gi) for gi in range(n_above, len(groups)) for p in groups[gi])
@@ -127,27 +130,38 @@ def reference_fixpoint(groups: List[List[Point]], parent: List[int], m: MetricPa
 # -- corpus -------------------------------------------------------------------
 
 
-def _side_groups(
-    pts: List[Point], m: MetricParams, sweep: bool
-) -> Tuple[List[List[Point]], List[List[Point]]]:
-    """Per-side groups of member points: the sweep's clusters, or
-    singletons.  Points are deduplicated first."""
+Side = List[Tuple[List[Point], ClosureHull]]
+
+
+def _with_closures(groups: List[List[Point]], m: MetricParams) -> Side:
+    return [(g, closure_hull(g, m)) for g in groups]
+
+
+def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[Side, Side]:
+    """Per-side groups of member points with their closures, as `build`
+    hands them to the join: the sweep's clusters, or singletons.  Points
+    are deduplicated first."""
     dedup = list(dict.fromkeys(pts))
+    side_pts = [Point(p.x, abs(p.y)) for p in dedup]
     out = []
     for above_side in (True, False):
         ids = sorted(
             (i for i, p in enumerate(dedup) if (p.y >= 0.0) == above_side),
-            key=lambda i: (dedup[i].x, abs(dedup[i].y)),
+            key=side_pts.__getitem__,
         )
         groups = [[dedup[i]] for i in ids]
+        lives = []
         if sweep and ids:
             try:
-                side = [Point(dedup[i].x, abs(dedup[i].y)) for i in ids]
-                lives = hull_builder._SideBuilder(side, ids, m).run()
+                lives = hull_builder._SideBuilder([side_pts[i] for i in ids], ids, m).run()
                 groups = [[dedup[i] for i in c.member_ids] for c in lives]
             except NumericError:
                 pass
-        out.append(groups)
+        if lives and m.closure_kind == "convex":
+            out.append([(g, hull_builder._side_closure(c, side_pts, not above_side))
+                        for g, c in zip(groups, lives)])
+        else:
+            out.append(_with_closures(groups, m))
     return out[0], out[1]
 
 
@@ -188,7 +202,8 @@ def _planted(rng: random.Random, m: MetricParams, scale: float, offset: float):
     u = Point(b.x + 2.0 * k * h * (1.0 + 10.0 ** -rng.randint(1, 17) * rng.choice((-1.0, 1.0))), h)
     above += [[tall, a, b], [u]]
     s = helpers.unit_scale([p for g in above + below for p in g])
-    return [[[Point(s * p.x, s * p.y) for p in g] for g in side] for side in (above, below)]
+    return [_with_closures([[Point(s * p.x, s * p.y) for p in g] for g in side], m)
+            for side in (above, below)]
 
 
 def _regimes() -> List[MetricParams]:
@@ -197,10 +212,11 @@ def _regimes() -> List[MetricParams]:
 
 
 def test_join_stages_match_all_pairs_reference():
-    # every instance is scaled into the unit frame by one power of two
+    # every instance is scaled into the unit frame by one power of two; the
+    # join, fed only the groups' closures, must find every member-pair link
     rng = random.Random(2024)
     cases = 0
-    stage1_links = fixpoint_links = 0
+    member_links = fixpoint_links = 0
     for m in _regimes():
         for scale in (1e-3, 1.0, 1e3):
             offset = rng.choice((0.0, 1e3, -1e5, 1e8))
@@ -208,47 +224,42 @@ def test_join_stages_match_all_pairs_reference():
                 above, below = make(rng, m, scale, offset)
                 if not above or not below:
                     continue
-                groups = above + below
+                groups = [g for g, _ in above + below]
+                closures = [h for _, h in above + below]
                 want1 = reference_member_pairs(groups, len(above), m)
-                uf = hull_builder._UnionFind(len(groups))
-                hull_builder._link_member_pairs(groups, len(above), uf, m)
-                assert uf.groups() == _groups(want1), ("stage 1", m.p, m.v, scale, offset)
+                want2 = _groups(reference_fixpoint(groups, want1, m))
 
-                want2 = reference_fixpoint(groups, want1, m)
                 uf = hull_builder._UnionFind(len(groups))
-                for gi, gj in enumerate(want1):
-                    uf.union(gj, gi)
-                hull_builder._grow_to_fixpoint(groups, uf, m)
-                assert uf.groups() == _groups(want2), ("fixpoint", m.p, m.v, scale, offset)
+                hull_builder._grow_to_fixpoint(groups, closures, uf, m)
+                assert uf.groups() == want2, ("fixpoint", m.p, m.v, scale, offset)
 
-                got = hull_builder.cross_side_merge(above, below, m)
-                assert got == _groups(want2), ("join", m.p, m.v, scale, offset)
+                got = hull_builder.cross_side_merge(groups, closures, m)
+                assert got == want2, ("join", m.p, m.v, scale, offset)
                 cases += 1
-                stage1_links += len(groups) - len(_groups(want1))
-                fixpoint_links += len(_groups(want1)) - len(_groups(want2))
-    assert cases >= 300 and stage1_links >= 300 and fixpoint_links >= 100
+                member_links += len(groups) - len(_groups(want1))
+                fixpoint_links += len(_groups(want1)) - len(want2)
+    assert cases >= 300 and member_links >= 300 and fixpoint_links >= 100
 
 
-def test_window_excludes_only_pairs_the_predicate_rejects():
-    # just beyond kx Y + D the float predicate must say no, at any offset
-    rng = random.Random(5)
-    for m in _regimes():
-        k = reach_coefficient(m)
-        kx, dcoef = cross_side_window(m)
-        assert m.tan_alpha <= kx <= k and dcoef >= 0.0
-        for _ in range(40):
-            ya = rng.uniform(0.0, 2.0) * 10.0 ** rng.randint(-3, 3)
-            yb = rng.uniform(0.01, 2.0) * 10.0 ** rng.randint(-3, 3)
-            x0 = rng.choice((0.0, 1.0, -1e4, 1e8))
-            y = ya + yb
-            x_abs = abs(x0) + 2.0 * k * y
-            w = kx * y + dcoef * x_abs
-            dx = w * (1.0 + 1e-12) + 1e-300
-            if dx > k * y:
-                continue
-            for sign in (-1.0, 1.0):
-                a, b = Point(x0, ya), Point(x0 + sign * dx, -yb)
-                assert not in_walking_region(a, b, m), (m.p, m.v, ya, yb, x0)
+def _rows() -> List[Point]:
+    """Two rows above and two below, 1/4 apart: no closure vertex of one
+    side walks to one of the other, but members near x = 0 do."""
+    return ([Point(x / 4.0, y) for x in range(-12, 13) for y in (0.1, 0.2)]
+            + [Point(x / 4.0, y) for x in range(-2, 3) for y in (-0.1, -0.2)])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 7.0])
+def test_rows_join_through_closure_edges(p):
+    m = MetricParams.make(p, 2.0)
+    above, below = _side_groups(_unit(_rows()), m, sweep=True)
+    gens = [[g for _, h in side for g in hull_builder._boundary_generators(h)]
+            for side in (above, below)]
+    assert not any(in_walking_region(a, b, m) for a in gens[0] for b in gens[1])
+    members = [[q for g, _ in side for q in g] for side in (above, below)]
+    walks = sum(in_walking_region(a, b, m) for a in members[0] for b in members[1])
+    assert 20 <= walks <= 90, walks
+    want = helpers.canon(oracle.cluster(_rows(), m).partition)
+    assert helpers.build_partition(_rows(), m) == want == (tuple(range(len(_rows()))),)
 
 
 # -- edge-region predicate -----------------------------------------------------
@@ -373,7 +384,7 @@ def test_entry_overlap_on_highway_crossing_edges_matches_exact_scan():
 # -- call-count guards ----------------------------------------------------------
 
 
-def test_uniform_stage_one_tests_stay_linear(counted):
+def test_uniform_join_walk_tests_stay_linear(counted):
     rng = random.Random(1)
     n = 2048
     pts = [
@@ -381,8 +392,8 @@ def test_uniform_stage_one_tests_stay_linear(counted):
         for _ in range(n)
     ]
     hull_builder.build(pts, MetricParams.make(1.0, 2.0))
-    # stage-1 pairs plus the fixpoint's generator pairs; the all-pairs
-    # stage 1 made 955k calls here
+    # the fixpoint's generator pairs and edge endpoints; an all-pairs
+    # member join made 955k calls here
     assert counted["walk"] <= 4 * n
 
 
@@ -396,3 +407,22 @@ def test_alternating_edge_region_tests_stay_reach_bounded(counted):
     # 1224 without the reach box
     assert 0 < counted["edge"] <= 500
 
+
+
+def test_alternating_join_starts_from_the_sweep_closures(monkeypatch):
+    calls = []
+    closure = hull_builder.closure_hull
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(hull_builder, "closure_hull", counted)
+    rng = random.Random(1)
+    pts = [
+        Point(10.0 * i + rng.uniform(-1.0, 1.0), (1.0 if i % 2 == 0 else -1.0) * rng.uniform(1.0, 3.0))
+        for i in range(1024)
+    ]
+    tch = hull_builder.build(pts, MetricParams.make(2.0, 2.0))
+    # no cluster merges, so neither the join nor assembly rebuilds a closure
+    assert len(tch.clusters) == 1024 and not calls

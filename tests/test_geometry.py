@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -350,6 +351,19 @@ def test_p2_unit_tangency_lies_on_the_parabola_through_the_pivot(v):
         slack = Fraction(1e-12) * y + abs(slope) * Fraction(4.0 * FLOAT_EPS * max(-xr, -pivot))
         slack += Fraction(2.0**-1074)  # eta underflows at a subnormal pivot
         assert abs(line - y) <= slack, (pivot, yr, sl)
+
+
+def test_p2_cos_alpha_is_within_an_ulp():
+    # sqrt(1 - 1/v^2) at the float v, in 60-digit decimal; the product
+    # (1 - s)(1 + s) with s = 1/v rounded was 329,647 ulps off at v = 1 + 1e-7
+    speeds = [1.0 + 10.0**-k for k in range(1, 8)] + [2.0, 5.0, 1e3, 1e10, 1e100, 1e200, 1.7e308]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for v in speeds:
+            c = geometry._p2_cos_alpha(v)
+            want = (1 - 1 / Decimal(v) ** 2).sqrt()
+            assert abs(Decimal(c) - want) <= Decimal(math.ulp(c)), v
+    assert geometry._p2_cos_alpha(INF) == 1.0
 
 
 @pytest.mark.parametrize("v", P2_SPEEDS)

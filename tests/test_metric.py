@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -114,6 +115,19 @@ def test_reach_slack_skips_only_pairs_the_predicate_rejects():
                             elif abs(b.x - a.x) > k * y:
                                 bare_misses += walks
     assert skipped > 5000 and bare_misses > 0
+
+
+def test_tan_alpha_holds_full_precision_as_v_approaches_one():
+    # t = v^(1/(1-p)) / (1 - v^(p/(1-p)))^(1/p) at the float p and v, in
+    # 60-digit decimal; 1 - v^(p/(1-p)) cancels as v -> 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for p in (1.05, 1.3, 1.5, 2.0, 3.0, 7.0, 50.0):
+            for v in (1.0 + 1e-7, 1.0 + 1e-4, 1.01, 1.1, 2.0):
+                pd, vd = Decimal(p), Decimal(v)
+                want = vd ** (1 / (1 - pd)) / (1 - vd ** (pd / (1 - pd))) ** (1 / pd)
+                got = Decimal(MetricParams.make(p, v).tan_alpha)
+                assert abs(got - want) <= Decimal(1e-15) * want, (p, v)
 
 
 @given(params_st)
