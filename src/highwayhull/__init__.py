@@ -40,7 +40,7 @@ from .metric import (
 )
 from .oracle import OraclePartition, cluster as oracle_cluster, point_in_edge_region
 from .render import render_svg
-from .subpath_hull import HullTree, any_point_above
+from .subpath_hull import HullTree
 from .subpath_hull import build as build_hull_tree
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "TimeConvexHull",
     "WavefrontShape",
     "alpha",
-    "any_point_above",
     "build",
     "build_hull_tree",
     "closure_hull",

@@ -22,23 +22,27 @@ of clusters; the loop runs until no exposure hits.
 
 Sides are then joined.  Each swept cluster's closure is built once,
 right after the sweeps, and the join starts from those closures.  Two
-components merge when a closure generator of one walks to one of the
-other, or lies in the walking region of a closure edge or virtual corner
-of the other.  That test on the closures alone finds every member pair
-that walks: by the cone lemma (`_point_in_edge_region`) an opposite-side
-pair walks only when the pair's highway entry intervals meet, the
-intervals are affine on a one-sided closure, so their union is spanned
-by its boundary, and the edge test decides meeting entries exactly.
-Growth of merged closures can expose more points, so the join iterates to
-a fixed point: components are swept in x-span order with the reach slack,
-edge-region tests are cut to the reach box of `reach_coefficient`'s
-linear-margin lemma, and each round rebuilds, from their members, and
-retests only the components the previous round changed.  An edge-region
-test is decided exactly, in every regime, when some edge point's highway
-entries overlap the point's (in) or the edge lies wholly on the far side
-with the entries apart (out, by the cone lemma); only same-side and
-highway-crossing edges are left to a bounded minimizer.  Assembly reuses
-a cluster's closure on a side that holds that cluster alone.
+components merge when a boundary generator of one lies in the walking
+region of a closure edge of the other; a closure whose members share one
+x has one-vertex chains, and each such vertex stands as the degenerate
+edge (v, v), so generator pairs are tested as edge endpoints.  That test
+on the closures alone finds every member pair that walks: by the cone
+lemma (`_point_in_edge_region`) an opposite-side pair walks only when the
+pair's highway entry intervals meet, the intervals are affine on a
+one-sided closure, so their union is spanned by its boundary, and the
+edge test decides meeting entries exactly.  Growth of merged closures can
+expose more points, so the join iterates to a fixed point: components are
+swept in x-span order with the reach slack, edge-region tests are cut to
+the rounding-widened reach box of `reach_slack`, and each round retests
+only the components the previous round changed.  A changed component
+builds each side once: a side one part supplies keeps that part's closure
+(so a side of one swept cluster keeps the sweep's), and a side gathered
+from several is built from its members.  The join hands back each
+component with its closures, and `build` wraps them into clusters.  An
+edge-region test is decided exactly, in every regime, when some edge
+point's highway entries overlap the point's (in) or the edge lies wholly
+on the far side with the entries apart (out, by the cone lemma); only
+same-side and highway-crossing edges are left to a bounded minimizer.
 
 Footprints and bridges come last: a cluster's footprint spans the highway
 interval its internal shortest paths ride, and bridges fill the highway
@@ -70,13 +74,13 @@ from .geometry import (
 )
 from .metric import (
     INF,
-    InvalidInputError,
     MetricParams,
     Point,
     _highway_time,
     _lp,
     box_coords,
     box_point,
+    coordinates,
     in_walking_region,
     reach_coefficient,
     reach_slack,
@@ -292,11 +296,13 @@ def _boundary_generators(h: ClosureHull) -> List[Point]:
 
 
 def _boundary_edges(h: ClosureHull) -> List[Tuple[Point, Point]]:
-    out = []
-    for ch in (h.upper, h.lower):
-        vs = ch.vertices
-        out.extend((vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-    return out
+    """Edges of both chains.  A closure whose members share one x has
+    one-vertex chains; each such vertex v stands as the degenerate edge
+    (v, v), once when the chains are the same point."""
+    up, lo = h.upper.vertices, h.lower.vertices
+    if len(up) == 1:
+        return [(v, v) for v in dict.fromkeys(up + lo)]
+    return list(zip(up, up[1:])) + list(zip(lo, lo[1:]))
 
 
 def _entries_meet(u: Point, a: Point, b: Point, t: float) -> bool:
@@ -329,10 +335,12 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
     minimizer of direct - highway; EPS_REGION absorbs only its error at
     the unit frame's scale.
     """
-    if in_walking_region(a, u, m) or in_walking_region(b, u, m):
+    if in_walking_region(a, u, m):
         return True
     if a == b:
         return False
+    if in_walking_region(b, u, m):
+        return True
     if _entries_meet(u, a, b, m.tan_alpha):
         return True
     if (u.y >= 0.0 and a.y <= 0.0 and b.y <= 0.0) or (u.y <= 0.0 and a.y >= 0.0 and b.y >= 0.0):
@@ -363,9 +371,13 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
 
 @dataclass
 class _Component:
-    """Boundary of one cross-side component: generators, edges with their
-    x-span and height, and the generators' x-span and height."""
+    """One cross-side component: its group indices and closure per side
+    (above, then below; None for an empty side), and the boundary the link
+    test reads: generators, edges with their x-span and height, and the
+    generators' x-span and height."""
 
+    sides: Tuple[List[int], List[int]]
+    hulls: Tuple[Optional[ClosureHull], Optional[ClosureHull]]
     gens: List[Point]
     edges: List[Tuple[Point, Point, float, float, float]]
     lo: float
@@ -373,26 +385,48 @@ class _Component:
     ymax: float
 
 
-def _component(hulls: Sequence[ClosureHull]) -> _Component:
+def _component(sides: Tuple[List[int], List[int]],
+               hulls: Tuple[Optional[ClosureHull], Optional[ClosureHull]]) -> _Component:
     gens: List[Point] = []
     edges: List[Tuple[Point, Point, float, float, float]] = []
     for h in hulls:
+        if h is None:
+            continue
         gens.extend(_boundary_generators(h))
         for a, b in _boundary_edges(h):
             edges.append((a, b, min(a.x, b.x), max(a.x, b.x), max(abs(a.y), abs(b.y))))
     xs = [p.x for p in gens]
-    return _Component(gens, edges, min(xs), max(xs), max(abs(p.y) for p in gens))
+    return _Component(sides, hulls, gens, edges, min(xs), max(xs), max(abs(p.y) for p in gens))
+
+
+def _joined(parts: List[_Component], groups: Sequence[List[Point]], m: MetricParams) -> _Component:
+    """The union of `parts`.  A side that one part supplies keeps that
+    part's closure; a side gathered from several is built from its
+    members."""
+    sides: List[List[int]] = []
+    hulls: List[Optional[ClosureHull]] = []
+    for s in (0, 1):
+        given = [c for c in parts if c.sides[s]]
+        sides.append(sorted(gi for c in given for gi in c.sides[s]))
+        if len(given) == 1:
+            hulls.append(given[0].hulls[s])
+        else:
+            hulls.append(closure_hull([p for gi in sides[s] for p in groups[gi]], m) if given else None)
+    return _component((sides[0], sides[1]), (hulls[0], hulls[1]))
 
 
 def _clusters_linked(
-    ca: _Component, cb: _Component, m: MetricParams, k: float, kr: float, dr: float
+    ca: _Component, cb: _Component, m: MetricParams, kr: float, dr: float
 ) -> bool:
-    for p in ca.gens:
-        for q in cb.gens:
-            if abs(p.x - q.x) <= k * (abs(p.y) + abs(q.y)) and in_walking_region(p, q, m):
-                return True
+    """True iff a boundary generator of one component lies in the walking
+    region of a closure edge of the other.  A one-vertex chain's degenerate
+    edge (v, v) makes that a generator pair test, made from ca's side only:
+    every generator of ca ends an edge of ca, whose test against v, in a
+    reach box at least as wide, comes first."""
     for edges, gens in ((ca.edges, cb.gens), (cb.edges, ca.gens)):
         for a, b, x0, x1, ye in edges:
+            if a is b and gens is ca.gens:
+                continue
             for u in gens:
                 r = kr * (abs(u.y) + ye) + dr
                 if x0 - r <= u.x <= x1 + r and _point_in_edge_region(u, a, b, m):
@@ -401,11 +435,10 @@ def _clusters_linked(
 
 
 class _UnionFind:
-    """Union-find over group indices with a live component count."""
+    """Union-find over component indices."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.count = n
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -415,91 +448,61 @@ class _UnionFind:
         return x
 
     def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-            self.count -= 1
-
-    def groups(self) -> List[List[int]]:
-        """Members of each component in increasing order, components by
-        their smallest member."""
-        out: Dict[int, List[int]] = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return list(out.values())
-
-
-def _grow_to_fixpoint(groups: Sequence[List[Point]], closures: Sequence[ClosureHull],
-                      uf: _UnionFind, m: MetricParams) -> None:
-    """Union components until no closure generator, edge or virtual corner
-    of one captures a boundary generator of another (either side).
-
-    `closures[i]` is the closure of `groups[i]`.  A component of one group
-    starts from it; a component of several is rebuilt, one closure per
-    side, from its members.  Components are swept by the low end of their
-    x-span with the reach slack; only components changed in the previous
-    round are rebuilt, and only pairs with a changed side are retested.
-    Unions do not depend on the order pairs are tested in, so every round
-    ends with the partition that testing every pair would give.
-    """
-    k = reach_coefficient(m)
-    kr, dr = reach_slack(m, EPS_REGION)
-    find = uf.find
-    comps: Dict[int, _Component] = {}
-    fresh: Optional[set] = None  # roots rebuilt this round; None: all
-    while uf.count > 1:
-        members: Dict[int, List[int]] = {}
-        for i in range(len(groups)):
-            members.setdefault(find(i), []).append(i)
-        comps = {r: comps[r] for r in members if fresh is not None and r not in fresh}
-        for r, gis in members.items():
-            if r in comps:
-                continue
-            if len(gis) == 1:
-                comps[r] = _component([closures[gis[0]]])
-            else:
-                pts = [p for gi in gis for p in groups[gi]]
-                sides = ([p for p in pts if p.y >= 0.0], [p for p in pts if p.y < 0.0])
-                comps[r] = _component([closure_hull(side, m) for side in sides if side])
-        order = sorted(comps, key=lambda r: comps[r].lo)
-        los = [comps[r].lo for r in order]
-        ym_all = max(c.ymax for c in comps.values())
-        touched = []
-        for a, ri in enumerate(order):
-            ci = comps[ri]
-            fresh_i = fresh is None or ri in fresh
-            reach = k * (ci.ymax + ym_all)
-            # widened past rounding; the exact slack test below decides
-            end = bisect_right(los, ci.hi + reach + 1e-12 * (abs(ci.hi) + reach), a + 1)
-            for b in range(a + 1, end):
-                rj = order[b]
-                if not (fresh_i or rj in fresh):
-                    continue
-                cj = comps[rj]
-                slack = k * (ci.ymax + cj.ymax)
-                if cj.lo - ci.hi > slack:
-                    continue
-                if find(ri) != find(rj) and _clusters_linked(ci, cj, m, k, kr, dr):
-                    uf.union(ri, rj)
-                    touched.append(ri)
-        if not touched:
-            break
-        fresh = {find(r) for r in touched}
+        self.parent[self.find(y)] = self.find(x)
 
 
 def cross_side_merge(
-    groups: Sequence[List[Point]], closures: Sequence[ClosureHull], m: MetricParams
-) -> List[List[int]]:
+    groups: Sequence[List[Point]], closures: Sequence[ClosureHull], n_above: int, m: MetricParams
+) -> List[Tuple[List[int], Optional[ClosureHull], Optional[ClosureHull]]]:
     """Union one-sided clusters into mixed components.
 
     `groups[i]` is a swept cluster's member points in the unit frame of
-    `build` and `closures[i]` its closure; the result lists each
-    component's group indices in increasing order, components by their
-    smallest index.  The join is the fixpoint of `_grow_to_fixpoint`.
+    `build` and `closures[i]` its closure; groups below index `n_above` lie
+    above the highway, the rest below.  Returns each component as its group
+    indices in increasing order with its above and below closures (None
+    for an empty side), components by their smallest index.
+
+    Components merge until no generator of one lies in the walking region
+    of a closure edge of another (either side).  Components are swept by
+    the low end of their x-span with the reach slack; each round joins the
+    components it linked, builds each changed side once, and retests only
+    pairs with a component joined in the previous round.  Unions do not
+    depend on the order pairs are tested in, so every round ends with the
+    partition that testing every pair would give.
     """
-    uf = _UnionFind(len(groups))
-    _grow_to_fixpoint(groups, closures, uf, m)
-    return uf.groups()
+    k = reach_coefficient(m)
+    kr, dr = reach_slack(m, EPS_REGION)
+    comps = [_component(([gi], []), (h, None)) if gi < n_above else _component(([], [gi]), (None, h))
+             for gi, h in enumerate(closures)]
+    fresh = [True] * len(comps)
+    while len(comps) > 1:
+        order = sorted(range(len(comps)), key=lambda i: comps[i].lo)
+        los = [comps[i].lo for i in order]
+        ym_all = max(c.ymax for c in comps)
+        uf = _UnionFind(len(comps))
+        linked = False
+        for a, i in enumerate(order):
+            ci = comps[i]
+            reach = k * (ci.ymax + ym_all)
+            # widened past rounding; the exact slack test below decides
+            end = bisect_right(los, ci.hi + reach + 1e-12 * (abs(ci.hi) + reach), a + 1)
+            for j in order[a + 1 : end]:
+                if not (fresh[i] or fresh[j]):
+                    continue
+                cj = comps[j]
+                if cj.lo - ci.hi > k * (ci.ymax + cj.ymax):
+                    continue
+                if uf.find(i) != uf.find(j) and _clusters_linked(ci, cj, m, kr, dr):
+                    uf.union(i, j)
+                    linked = True
+        if not linked:
+            break
+        parts: Dict[int, List[_Component]] = {}
+        for i, c in enumerate(comps):
+            parts.setdefault(uf.find(i), []).append(c)
+        comps = [ps[0] if len(ps) == 1 else _joined(ps, groups, m) for ps in parts.values()]
+        fresh = [len(ps) > 1 for ps in parts.values()]
+    return [(c.sides[0] + c.sides[1], c.hulls[0], c.hulls[1]) for c in comps]
 
 
 def _entries(gens: List[Point], m: MetricParams) -> Tuple[List[float], List[float]]:
@@ -589,12 +592,7 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     footprints and bridges are scaled back by 2^e.  Exact, up to the
     subnormal limit of the module docstring.
     """
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    if not xs:
-        raise InvalidInputError("need at least one point")
-    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
-        raise InvalidInputError("coordinates must be finite")
+    xs, ys = coordinates(points)
     e = math.frexp(max(max(map(abs, xs)), max(map(abs, ys))))[1] - 1
 
     # collapse duplicates in the unit frame; dedup id -> input indices
@@ -625,26 +623,17 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         closures = [closure_hull([dedup[i] for i in c.member_ids], m) for c in lives]
 
     if 0 < n_above < len(lives):
-        comps = cross_side_merge([[dedup[i] for i in c.member_ids] for c in lives], closures, m)
+        comps = cross_side_merge([[dedup[i] for i in c.member_ids] for c in lives], closures,
+                                 n_above, m)
     else:
-        comps = [[i] for i in range(len(lives))]
+        comps = [([gi], h, None) if gi < n_above else ([gi], None, h)
+                 for gi, h in enumerate(closures)]
     # clusters in order of their leftmost member
-    comps.sort(key=lambda comp: min(lives[gi].left_x for gi in comp))
-
-    # a side holding one live cluster reuses its closure; sides gathered
-    # from several clusters are rebuilt from their members
-    clusters: List[Cluster] = []
-    for comp in comps:
-        hulls: List[Optional[ClosureHull]] = []
-        for side in ([i for i in comp if i < n_above], [i for i in comp if i >= n_above]):
-            if len(side) == 1:
-                hulls.append(closures[side[0]])
-            elif side:
-                hulls.append(closure_hull([dedup[i] for gi in side for i in lives[gi].member_ids], m))
-            else:
-                hulls.append(None)
-        members = sorted(i for gi in comp for di in lives[gi].member_ids for i in orig[di])
-        clusters.append(Cluster(members, hulls[0], hulls[1]))
+    comps.sort(key=lambda comp: min(lives[gi].left_x for gi in comp[0]))
+    clusters = [
+        Cluster(sorted(i for gi in gis for di in lives[gi].member_ids for i in orig[di]), above, below)
+        for gis, above, below in comps
+    ]
 
     # free the sweep state before the output is mapped back
     del sides, lives, closures, dedup, side_pts, orig

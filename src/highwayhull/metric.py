@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from numbers import Real
+from typing import Iterable, NamedTuple, Optional
 
 from scipy.optimize import brentq
 
@@ -64,6 +65,34 @@ class Point(NamedTuple):
 def _require_finite(pt: Point) -> None:
     if not (math.isfinite(pt.x) and math.isfinite(pt.y)):
         raise InvalidInputError(f"non-finite point {pt!r}")
+
+
+def coordinates(points: Iterable) -> tuple[list[float], list[float]]:
+    """Abscissae and ordinates of a caller's point set, as floats:
+    InvalidInputError unless it holds at least one point and each point is
+    an (x, y) pair of finite real numbers."""
+    xs: list = []
+    ys: list = []
+    for i, p in enumerate(points):
+        try:
+            x, y = p
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"point {i} is not an (x, y) pair: {p!r}") from None
+        xs.append(x)
+        ys.append(y)
+    if not xs:
+        raise InvalidInputError("need at least one point")
+    # one type test per distinct coordinate type, not per coordinate
+    for t in set(map(type, xs)) | set(map(type, ys)):
+        if not issubclass(t, Real):
+            raise InvalidInputError(f"coordinates must be real numbers, got {t.__name__}")
+    try:
+        xs, ys = list(map(float, xs)), list(map(float, ys))
+    except OverflowError:  # an int or Fraction beyond the float range
+        raise InvalidInputError("coordinates must be finite") from None
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        raise InvalidInputError("coordinates must be finite")
+    return xs, ys
 
 
 def alpha(p: float, v: float) -> float:

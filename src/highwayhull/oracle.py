@@ -17,7 +17,6 @@ refusal instead of an open-ended burn.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -28,6 +27,7 @@ from .metric import (
     InvalidInputError,
     MetricParams,
     Point,
+    coordinates,
     highway_time,
     in_walking_region,
     lp_distance,
@@ -179,12 +179,8 @@ def cluster(
     experiments); `deadline` (seconds) aborts with OracleBudgetError so a
     run can certify "slower than X" without completing.
     """
-    pts = [Point(float(p[0]), float(p[1])) for p in points]
+    pts = list(map(Point, *coordinates(points)))
     n = len(pts)
-    if n == 0:
-        raise InvalidInputError("need at least one point")
-    if not all(math.isfinite(p.x) and math.isfinite(p.y) for p in pts):
-        raise InvalidInputError("coordinates must be finite")
     if n > size_limit:
         raise InvalidInputError(
             "oracle refuses %d points (limit %d); pass size_limit to override"

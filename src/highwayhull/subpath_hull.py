@@ -99,7 +99,3 @@ class HullTree:
 def build(points: Sequence[Point]) -> HullTree:
     """Hull tree over the x-sorted, duplicate-free point sequence."""
     return HullTree(points)
-
-
-def any_point_above(t: HullTree, seg: QuerySegment) -> bool:
-    return t.any_point_above(seg)

@@ -201,7 +201,7 @@ def test_a4_segment_queries_match_scan_and_stay_fast(capfd):
                 skipped += 1  # within scan tolerance of the line: no verdict
                 continue
             t0 = time.perf_counter()
-            got = subpath_hull.any_point_above(tree, seg)
+            got = tree.any_point_above(seg)
             times.append(time.perf_counter() - t0)
             assert got == (best > 0.0), "query %d disagrees (scan margin %.3g)" % (
                 checked,

@@ -179,10 +179,12 @@ def _cloud(rng: random.Random, m: MetricParams, scale: float, offset: float):
 
 
 def _planted(rng: random.Random, m: MetricParams, scale: float, offset: float):
-    """Singleton groups far apart: opposite-side pairs at the cone edge
-    |dx| = t Y +- 10^-j Y and at the reach edge |dx| = k Y (1 +- 10^-j);
-    plus, above, a low horizontal closure edge with a tall left generator
-    and a lone point at the edge's height k Y (1 +- 10^-j) past its end."""
+    """Groups far apart: opposite-side pairs at the cone edge |dx| = t Y +-
+    10^-j Y and at the reach edge |dx| = k Y (1 +- 10^-j), where the above
+    group of the cone-edge pair is a vertical pair, a convex closure with
+    no edges, and every other group a singleton; plus, above, a low
+    horizontal closure edge with a tall left generator and a lone point at
+    the edge's height k Y (1 +- 10^-j) past its end."""
     k = reach_coefficient(m)
     gap = 8.0 * k * 3.0 * scale + 1.0
     above: List[List[Point]] = []
@@ -192,8 +194,8 @@ def _planted(rng: random.Random, m: MetricParams, scale: float, offset: float):
         ya, yb = scale * rng.uniform(0.01, 1.0), scale * rng.uniform(0.01, 1.0)
         y = ya + yb
         j = 10.0 ** -rng.randint(1, 17) * rng.choice((-1.0, 1.0))
-        for dx in (m.tan_alpha * y + j * y, k * y * (1.0 + j)):
-            above.append([Point(x, ya)])
+        for dx, column in ((m.tan_alpha * y + j * y, True), (k * y * (1.0 + j), False)):
+            above.append([Point(x, ya), Point(x, 0.5 * ya)] if column else [Point(x, ya)])
             below.append([Point(x + rng.choice((-1.0, 1.0)) * dx, -yb)])
             x += gap
     h = scale * rng.uniform(0.01, 1.0)
@@ -229,12 +231,15 @@ def test_join_stages_match_all_pairs_reference():
                 want1 = reference_member_pairs(groups, len(above), m)
                 want2 = _groups(reference_fixpoint(groups, want1, m))
 
-                uf = hull_builder._UnionFind(len(groups))
-                hull_builder._grow_to_fixpoint(groups, closures, uf, m)
-                assert uf.groups() == want2, ("fixpoint", m.p, m.v, scale, offset)
-
-                got = hull_builder.cross_side_merge(groups, closures, m)
-                assert got == want2, ("join", m.p, m.v, scale, offset)
+                got = hull_builder.cross_side_merge(groups, closures, len(above), m)
+                assert [gis for gis, _, _ in got] == want2, ("join", m.p, m.v, scale, offset)
+                # each side's closure is that of its members, however built
+                for gis, *hulls in got:
+                    for above_side, h in zip((True, False), hulls):
+                        pts = [p for gi in gis if (gi < len(above)) == above_side
+                               for p in groups[gi]]
+                        want = closure_hull(pts, m) if pts else None
+                        assert h == want, ("closure", m.p, m.v, scale, offset, gis)
                 cases += 1
                 member_links += len(groups) - len(_groups(want1))
                 fixpoint_links += len(_groups(want1)) - len(want2)
@@ -397,32 +402,53 @@ def test_uniform_join_walk_tests_stay_linear(counted):
     assert counted["walk"] <= 4 * n
 
 
-def test_alternating_edge_region_tests_stay_reach_bounded(counted):
+def _alternating(n: int) -> List[Point]:
+    """The alternating family of `perfbench.workloads`, drawn from
+    random.Random(1): x = 10 i + U[-1, 1], sides alternating, |y| ~
+    U[1, 3]."""
     rng = random.Random(1)
-    pts = [
+    return [
         Point(10.0 * i + rng.uniform(-1.0, 1.0), (1.0 if i % 2 == 0 else -1.0) * rng.uniform(1.0, 3.0))
-        for i in range(256)
+        for i in range(n)
     ]
-    hull_builder.build(pts, MetricParams.make(2.0, 1.1))
+
+
+def test_alternating_edge_region_tests_stay_reach_bounded(counted):
+    hull_builder.build(_alternating(256), MetricParams.make(2.0, 1.1))
     # 1224 without the reach box
     assert 0 < counted["edge"] <= 500
 
 
-
-def test_alternating_join_starts_from_the_sweep_closures(monkeypatch):
+def _counted_closures(monkeypatch) -> List[frozenset]:
+    """Member sets of the closure_hull calls hull_builder makes."""
     calls = []
     closure = hull_builder.closure_hull
 
-    def counted(*args):
-        calls.append(args)
-        return closure(*args)
+    def counted(members, m):
+        calls.append(frozenset(members))
+        return closure(members, m)
 
     monkeypatch.setattr(hull_builder, "closure_hull", counted)
-    rng = random.Random(1)
-    pts = [
-        Point(10.0 * i + rng.uniform(-1.0, 1.0), (1.0 if i % 2 == 0 else -1.0) * rng.uniform(1.0, 3.0))
-        for i in range(1024)
-    ]
-    tch = hull_builder.build(pts, MetricParams.make(2.0, 2.0))
-    # no cluster merges, so neither the join nor assembly rebuilds a closure
+    return calls
+
+
+def test_alternating_join_starts_from_the_sweep_closures(monkeypatch):
+    calls = _counted_closures(monkeypatch)
+    tch = hull_builder.build(_alternating(1024), MetricParams.make(2.0, 2.0))
+    # no cluster merges, so the join builds no closure
     assert len(tch.clusters) == 1024 and not calls
+
+
+def test_join_builds_each_closure_once(monkeypatch):
+    # mixed clusters form here; each side the join gathers from several
+    # swept clusters is built once, and a side of one swept cluster keeps
+    # the sweep's closure
+    m = MetricParams.make(2.0, 1.1)
+    pts = _alternating(256)
+    above, below = _side_groups(_unit(pts), m, sweep=True)
+    swept = {frozenset(g) for g, _ in above + below}
+    calls = _counted_closures(monkeypatch)
+    tch = hull_builder.build(pts, m)
+    assert len(tch.clusters) < len(swept)
+    assert calls and len(set(calls)) == len(calls)
+    assert not swept.intersection(calls)

@@ -104,6 +104,17 @@ def test_build_input_validation():
         hull_builder.build([Point(math.nan, 0.0)], m)
 
 
+@pytest.mark.parametrize("run", [hull_builder.build, oracle.cluster], ids=["build", "oracle"])
+@pytest.mark.parametrize(
+    "bad", [("a", 1), (1,), None, (1, 2, 3), "xy", (1.0, None), (INF, 0.0), (10**400, 0)]
+)
+def test_points_must_be_pairs_of_finite_reals(run, bad):
+    m = MetricParams.make(2.0, 2.0)
+    with pytest.raises(InvalidInputError):
+        run([(0.0, 1.0), bad], m)
+    run([(0, 1), [2.5, -1.0], Point(3, 2)], m)  # any (x, y) pairs of reals pass
+
+
 def test_tangent_collapsed_onto_highway_is_skipped():
     # the right tangent of the edge (-5, 3)-(-4, 1) runs under 1e-16 above
     # the highway (p = 50: the curves leave their entries as |x|^50)

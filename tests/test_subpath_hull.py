@@ -37,31 +37,19 @@ def test_build_requires_sorted_distinct_points():
 def test_small_fixed_queries():
     pts = [Point(float(i), float((i * 7) % 5)) for i in range(10)]
     t = subpath_hull.build(pts)
-    assert subpath_hull.any_point_above(
-        t, QuerySegment(Point(0.5, 3.5), Point(9.5, 3.5))
-    )
-    assert not subpath_hull.any_point_above(
-        t, QuerySegment(Point(-1.0, 4.5), Point(11.0, 4.5))
-    )
+    assert t.any_point_above(QuerySegment(Point(0.5, 3.5), Point(9.5, 3.5)))
+    assert not t.any_point_above(QuerySegment(Point(-1.0, 4.5), Point(11.0, 4.5)))
     # on-the-line points do not count as above
-    assert not subpath_hull.any_point_above(
-        t, QuerySegment(Point(0.5, 4.0), Point(9.5, 4.0))
-    )
+    assert not t.any_point_above(QuerySegment(Point(0.5, 4.0), Point(9.5, 4.0)))
     # strip interior is open: the spike at x = 2 is excluded
-    assert not subpath_hull.any_point_above(
-        t, QuerySegment(Point(0.0, 3.9), Point(2.0, 3.9))
-    )
+    assert not t.any_point_above(QuerySegment(Point(0.0, 3.9), Point(2.0, 3.9)))
     # zero-length segment has an empty strip
-    assert not subpath_hull.any_point_above(
-        t, QuerySegment(Point(2.0, -10.0), Point(2.0, -10.0))
-    )
+    assert not t.any_point_above(QuerySegment(Point(2.0, -10.0), Point(2.0, -10.0)))
 
 
 def test_empty_strip_queries_are_false():
     t = subpath_hull.build([Point(0.0, 0.0), Point(1.0, 5.0)])
-    assert not subpath_hull.any_point_above(
-        t, QuerySegment(Point(2.0, -99.0), Point(9.0, -99.0))
-    )
+    assert not t.any_point_above(QuerySegment(Point(2.0, -99.0), Point(9.0, -99.0)))
 
 
 @given(st.data())
@@ -81,7 +69,7 @@ def test_matches_linear_scan(data):
         want = naive_above(pts, seg)
         if want is None:
             continue
-        assert subpath_hull.any_point_above(tree, seg) == want
+        assert tree.any_point_above(seg) == want
         checked += 1
     assume(checked > 0)
 
@@ -101,7 +89,7 @@ def test_matches_linear_scan_bulk():
         if want is None:
             continue
         checked += 1
-        if subpath_hull.any_point_above(tree, seg) != want:
+        if tree.any_point_above(seg) != want:
             mismatches += 1
     assert checked > 250 and mismatches == 0
 
