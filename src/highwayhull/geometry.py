@@ -463,9 +463,9 @@ def exposed_boundary_segments(
         hi = min(cx, x_cap)
         if hi <= wall:
             return []
-        wedge = QuerySegment(Point(wall, cy), Point(hi, beta * (cx - hi)))
-        cap = QuerySegment(Point(wall, cy), Point(hi, cy))
-        return [wedge, cap]
+        # the line runs below y = cy on (wall, hi), so this one query also
+        # covers every point above the corner's height there
+        return [QuerySegment(Point(wall, cy), Point(hi, beta * (cx - hi)))]
     if m.closure_kind == "diamond_box":
         if a != b:
             raise InvalidInputError("box metrics expose corners; pass (corner, corner)")

@@ -22,27 +22,28 @@ of clusters; the loop runs until no exposure hits.
 
 Sides are then joined.  Each swept cluster's closure is built once,
 right after the sweeps, and the join starts from those closures.  Two
-components merge when a boundary generator of one lies in the walking
-region of a closure edge of the other; a closure whose members share one
-x has one-vertex chains, and each such vertex stands as the degenerate
-edge (v, v), so generator pairs are tested as edge endpoints.  That test
+components merge when a boundary generator of one walks to a generator
+of the other, or lies in the walking region of a closure edge of the
+other.  Each generator pair is decided once; every edge endpoint is a
+generator, so the edge test then covers the rest of the edge.  That test
 on the closures alone finds every member pair that walks: by the cone
 lemma (`_point_in_edge_region`) an opposite-side pair walks only when the
 pair's highway entry intervals meet, the intervals are affine on a
 one-sided closure, so their union is spanned by its boundary, and the
 edge test decides meeting entries exactly.  Growth of merged closures can
 expose more points, so the join iterates to a fixed point: components are
-swept in x-span order with the reach slack, edge-region tests are cut to
-the rounding-widened reach box of `reach_slack`, and each round retests
-only the components the previous round changed.  A changed component
-builds each side once: a side one part supplies keeps that part's closure
-(so a side of one swept cluster keeps the sweep's), and a side gathered
-from several is built from its members.  The join hands back each
-component with its closures, and `build` wraps them into clusters.  An
-edge-region test is decided exactly, in every regime, when some edge
-point's highway entries overlap the point's (in) or the edge lies wholly
-on the far side with the entries apart (out, by the cone lemma); only
-same-side and highway-crossing edges are left to a bounded minimizer.
+swept in x-span order with the reach slack, pair and edge-region tests
+are cut to the rounding-widened reach box of `reach_slack`, and each
+round retests only the components the previous round changed.  A changed
+component builds each side once: a side one part supplies keeps that
+part's closure (so a side of one swept cluster keeps the sweep's), and a
+side gathered from several is built from its members.  The join hands
+back each component with its closures, and `build` wraps them into
+clusters.  An edge-region test is decided exactly, in every regime, when
+some edge point's highway entries overlap the point's (in) or the edge
+lies wholly on the far side with the entries apart (out, by the cone
+lemma); only same-side and highway-crossing edges are left to a bounded
+minimizer.
 
 Footprints and bridges come last: a cluster's footprint spans the highway
 interval its internal shortest paths ride, and bridges fill the highway
@@ -296,12 +297,8 @@ def _boundary_generators(h: ClosureHull) -> List[Point]:
 
 
 def _boundary_edges(h: ClosureHull) -> List[Tuple[Point, Point]]:
-    """Edges of both chains.  A closure whose members share one x has
-    one-vertex chains; each such vertex v stands as the degenerate edge
-    (v, v), once when the chains are the same point."""
+    """Edges of both chains; none when the members share one x."""
     up, lo = h.upper.vertices, h.lower.vertices
-    if len(up) == 1:
-        return [(v, v) for v in dict.fromkeys(up + lo)]
     return list(zip(up, up[1:])) + list(zip(lo, lo[1:]))
 
 
@@ -318,7 +315,9 @@ def _entries_meet(u: Point, a: Point, b: Point, t: float) -> bool:
 
 
 def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool:
-    """True iff u lies in the walking region of some point of segment ab.
+    """True iff u lies in the walking region of some point of segment ab,
+    given that it lies in neither endpoint's: the endpoints are generators,
+    which the caller decides with `in_walking_region` first.
 
     Two exact rules hold in every regime.  If some edge point's entries
     meet u's, u is in (walking trivially beats a doubled-back ride).
@@ -335,12 +334,6 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
     minimizer of direct - highway; EPS_REGION absorbs only its error at
     the unit frame's scale.
     """
-    if in_walking_region(a, u, m):
-        return True
-    if a == b:
-        return False
-    if in_walking_region(b, u, m):
-        return True
     if _entries_meet(u, a, b, m.tan_alpha):
         return True
     if (u.y >= 0.0 and a.y <= 0.0 and b.y <= 0.0) or (u.y <= 0.0 and a.y >= 0.0 and b.y >= 0.0):
@@ -418,15 +411,19 @@ def _joined(parts: List[_Component], groups: Sequence[List[Point]], m: MetricPar
 def _clusters_linked(
     ca: _Component, cb: _Component, m: MetricParams, kr: float, dr: float
 ) -> bool:
-    """True iff a boundary generator of one component lies in the walking
-    region of a closure edge of the other.  A one-vertex chain's degenerate
-    edge (v, v) makes that a generator pair test, made from ca's side only:
-    every generator of ca ends an edge of ca, whose test against v, in a
-    reach box at least as wide, comes first."""
+    """True iff a boundary generator of one component walks to one of the
+    other, or lies in the walking region of a closure edge of the other.
+
+    Each generator pair is decided once, inside its own `reach_slack` box
+    (no pair outside it walks as floats decide it).  Every edge endpoint
+    is a generator, so `_point_in_edge_region` then covers only the rest
+    of the edge."""
+    for u in ca.gens:
+        for w in cb.gens:
+            if abs(u.x - w.x) <= kr * (abs(u.y) + abs(w.y)) + dr and in_walking_region(u, w, m):
+                return True
     for edges, gens in ((ca.edges, cb.gens), (cb.edges, ca.gens)):
         for a, b, x0, x1, ye in edges:
-            if a is b and gens is ca.gens:
-                continue
             for u in gens:
                 r = kr * (abs(u.y) + ye) + dr
                 if x0 - r <= u.x <= x1 + r and _point_in_edge_region(u, a, b, m):
@@ -462,11 +459,12 @@ def cross_side_merge(
     indices in increasing order with its above and below closures (None
     for an empty side), components by their smallest index.
 
-    Components merge until no generator of one lies in the walking region
-    of a closure edge of another (either side).  Components are swept by
-    the low end of their x-span with the reach slack; each round joins the
-    components it linked, builds each changed side once, and retests only
-    pairs with a component joined in the previous round.  Unions do not
+    Components merge until no generator of one walks to a generator of
+    another or lies in the walking region of its closure edges (either
+    side).  Components are swept by the low end of their x-span with the
+    reach slack; each round joins the components it linked, builds each
+    changed side once, and retests only pairs with a component joined in
+    the previous round.  Unions do not
     depend on the order pairs are tested in, so every round ends with the
     partition that testing every pair would give.
     """

@@ -18,6 +18,7 @@ from .metric import (
     NumericError,
     Point,
     _p_circle_y,
+    coordinates,
     disc_curve_y,
     entry_points,
     wavefront,
@@ -125,10 +126,9 @@ def render_svg(
     curves: bool = False,
     wavefront_t: Optional[float] = None,
 ) -> str:
-    pts = [Point(float(p[0]), float(p[1])) for p in points]
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts] + [0.0]
-    cv = _Canvas(min(xs), max(xs), min(ys), max(ys))
+    xs, ys = coordinates(points)
+    pts = list(map(Point, xs, ys))
+    cv = _Canvas(min(xs), max(xs), min(min(ys), 0.0), max(max(ys), 0.0))
 
     cv.polyline(
         [Point(cv.x0, 0.0), Point(cv.x0 + cv.w / cv.scale, 0.0)],

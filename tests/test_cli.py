@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from highwayhull import cli, hull_builder, render
-from highwayhull.metric import INF, MetricParams, NumericError, Point
+from highwayhull.metric import INF, InvalidInputError, MetricParams, NumericError, Point
 
 # SHA-256 of the fixed corpus's concatenated build JSON.  A refactor must
 # reproduce it byte for byte; a change meant to alter outputs re-pins it.
@@ -216,6 +216,17 @@ def test_render_lets_other_curve_errors_propagate(monkeypatch):
     tch = hull_builder.build(pts, MetricParams.make(2.0, 2.0))
     with pytest.raises(ZeroDivisionError):
         render.render_svg(tch, pts, curves=True)
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 1, 7), (3, 2)],
+    [(0.0, 1.0), (float("nan"), 2.0)],
+    [],
+], ids=["triple", "nan", "empty"])
+def test_render_validates_its_points(pts):
+    tch = hull_builder.build([Point(0.0, 1.0), Point(3.0, 2.0)], MetricParams.make(2.0, 2.0))
+    with pytest.raises(InvalidInputError):
+        render.render_svg(tch, pts)
 
 
 def test_render_rejects_a_non_finite_wavefront_radius(tmp_path, capsys):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
@@ -31,19 +32,25 @@ V_NEAR_ONE = 1.0 + 1e-7
 # -- reference: every below member in the global reach, every root pair -----
 
 
+def _in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool:
+    """u in the walking region of some point of the whole edge ab: its
+    endpoints by the pair predicate, the rest by the builder's edge test."""
+    return (in_walking_region(a, u, m) or in_walking_region(b, u, m)
+            or hull_builder._point_in_edge_region(u, a, b, m))
+
+
 def _reference_linked(ga, ea, gb, eb, m: MetricParams) -> bool:
-    k = reach_coefficient(m)
     for p in ga:
         for q in gb:
-            if abs(p.x - q.x) <= k * (abs(p.y) + abs(q.y)) and in_walking_region(p, q, m):
+            if in_walking_region(p, q, m):
                 return True
     for a, b in ea:
         for q in gb:
-            if hull_builder._point_in_edge_region(q, a, b, m):
+            if _in_edge_region(q, a, b, m):
                 return True
     for a, b in eb:
         for p in ga:
-            if hull_builder._point_in_edge_region(p, a, b, m):
+            if _in_edge_region(p, a, b, m):
                 return True
     return False
 
@@ -307,7 +314,7 @@ def test_far_side_at_vertical_descent_is_the_span_rule():
                 u = Point(x, uy)
                 want = (in_walking_region(a, u, m) or in_walking_region(b, u, m)
                         or lo <= x <= hi)
-                got = hull_builder._point_in_edge_region(u, a, b, m)
+                got = _in_edge_region(u, a, b, m)
                 assert got == want, (p, v, u, a, b)
                 outcomes.add((lo <= x <= hi, got))
     assert outcomes == {(True, True), (False, True), (False, False)}
@@ -397,8 +404,8 @@ def test_uniform_join_walk_tests_stay_linear(counted):
         for _ in range(n)
     ]
     hull_builder.build(pts, MetricParams.make(1.0, 2.0))
-    # the fixpoint's generator pairs and edge endpoints; an all-pairs
-    # member join made 955k calls here
+    # the fixpoint's generator pairs and the footprint sweeps; an
+    # all-pairs member join made 955k calls here
     assert counted["walk"] <= 4 * n
 
 
@@ -452,3 +459,39 @@ def test_join_builds_each_closure_once(monkeypatch):
     assert len(tch.clusters) < len(swept)
     assert calls and len(set(calls)) == len(calls)
     assert not swept.intersection(calls)
+
+
+def test_join_decides_each_generator_pair_once(monkeypatch):
+    # mixed clusters form here: within one link test no unordered
+    # generator pair reaches the walking predicate twice, and the edge
+    # tests call the minimizer at most 56 times
+    active: List[Counter] = []
+    done: List[Counter] = []
+    minimized = []
+    linked = hull_builder._clusters_linked
+    walks = hull_builder.in_walking_region
+    minimize = hull_builder.minimize_scalar
+
+    def counted_linked(*args):
+        active.append(Counter())
+        try:
+            return linked(*args)
+        finally:
+            done.append(active.pop())
+
+    def counted_walk(q, u, m):
+        if active:
+            active[-1][frozenset((q, u))] += 1
+        return walks(q, u, m)
+
+    def counted_minimize(*args, **kwargs):
+        minimized.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(hull_builder, "_clusters_linked", counted_linked)
+    monkeypatch.setattr(hull_builder, "in_walking_region", counted_walk)
+    monkeypatch.setattr(hull_builder, "minimize_scalar", counted_minimize)
+    hull_builder.build(_alternating(256), MetricParams.make(2.0, 1.1))
+    repeats = sum(n - 1 for c in done for n in c.values())
+    assert sum(map(len, done)) > 0 and repeats == 0, repeats
+    assert 0 < len(minimized) <= 56
