@@ -45,13 +45,14 @@ class EnvelopeEntry:
     The builder owns and mutates these (single writer); the frontier only
     reads them during locate.  For convex closures `chain` is the live
     upper hull; for box closures `right_corner` is the single governing
-    generator and `chain` is unused.
+    generator and `chain` is unused.  Locate reads only the right end, so
+    an entry carries no left end: the builder's clusters are runs of the
+    x-sorted arrivals, and a run's first point is its left end.
     """
 
     __slots__ = (
         "chain",
         "right_corner",
-        "left_x",
         "right_x",
         "ymax",
         "pmax_y",
@@ -60,7 +61,6 @@ class EnvelopeEntry:
     def __init__(self):
         self.chain: List[Point] = []
         self.right_corner: Optional[Point] = None
-        self.left_x = INF
         self.right_x = -INF
         self.ymax = 0.0
         self.pmax_y = 0.0

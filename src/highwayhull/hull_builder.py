@@ -10,15 +10,22 @@ The one limit: a nonzero coordinate more than about 2^1021 below the
 largest becomes subnormal in the frame and loses bits, and points that
 collapse there are reported as duplicates.
 
-Points are deduplicated, split by side of the highway (y == 0 counts as
-above), and each side is clustered by one left-to-right sweep: an arrival
-either lands in the right walking region of a live cluster, merging the
-whole suffix from that cluster on, or starts a new cluster.  After each
-merge the newly created boundary (positive-slope bridge edges, or the
-moved box corner for p in {1, inf}) can expose region not covered by any
-older boundary, so those pieces are queried against the static point set
-with the subpath hull structure and every hit merges the rightmost pair
-of clusters; the loop runs until no exposure hits.
+The input is sorted once, stably, by (below, x, side y): below means
+y < 0 (y == 0 counts as above), and side y is -y below the highway and y
+elsewhere, so a -0.0 keeps its sign.  Copies are adjacent,
+first copy first, and each distinct point keeps its first copy's floats;
+each side's distinct points are one slice of that order, in the x, y
+order its sweep takes them.  Each side is clustered by one left-to-right
+sweep: an arrival either lands in the right walking region of a live
+cluster, merging the whole suffix from that cluster on, or starts a new
+cluster.  After each merge the newly created boundary (positive-slope
+bridge edges, or the moved box corner for p in {1, inf}) can expose
+region not covered by any older boundary, so those pieces are queried
+against the static point set with the subpath hull structure and every
+hit merges the rightmost pair of clusters; the loop runs until no
+exposure hits.  Both merges join adjacent runs, so every swept cluster is
+a run of its side's sorted points: the sweep keeps only its start, and
+its input members are one slice of the sorted input.
 
 Sides are then joined.  Each swept cluster's closure is built once,
 right after the sweeps, and the join starts from those closures.  Two
@@ -32,9 +39,11 @@ pair's highway entry intervals meet, the intervals are affine on a
 one-sided closure, so their union is spanned by its boundary, and the
 edge test decides meeting entries exactly.  Growth of merged closures can
 expose more points, so the join iterates to a fixed point: components are
-swept in x-span order with the reach slack, pair and edge-region tests
-are cut to the rounding-widened reach box of `reach_slack`, and each
-round retests only the components the previous round changed.  A changed
+swept by the low end of their x-span and paired only within the bare
+reach K Y of `reach_coefficient` (rounding oversteps it as v -> 1); the
+rounding-widened reach box of `reach_slack` cuts just the link test's
+pair and edge-region tests; and each round retests only the components
+the previous round changed.  A changed
 component builds each side once: a side one part supplies keeps that
 part's closure (so a side of one swept cluster keeps the sweep's), and a
 side gathered from several is built from its members.  The join hands
@@ -56,7 +65,7 @@ ride, so every pair a sweep skips is decided without a predicate call.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat, takewhile
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -119,13 +128,15 @@ class TimeConvexHull:
 
 class _Live(EnvelopeEntry):
     """Mutable per-side cluster state during the sweep (side coordinates:
-    y >= 0, below-side points pre-mirrored)."""
+    y >= 0, below-side points pre-mirrored).  The cluster is a run of the
+    side's sorted points: those from `start` up to the next live cluster's
+    start, or to the end of the side."""
 
-    __slots__ = ("member_ids", "box", "corner")
+    __slots__ = ("start", "box", "corner")
 
-    def __init__(self):
+    def __init__(self, start: int):
         super().__init__()
-        self.member_ids: List[int] = []
+        self.start = start
         # box metrics: extremes [s0, s1, t0, t1] in the frame of
         # metric.box_coords, and the corner whose moves expose region
         self.box: Optional[List[float]] = None
@@ -133,11 +144,14 @@ class _Live(EnvelopeEntry):
 
 
 class _SideBuilder:
-    """Sweeps one side's deduplicated points (y >= 0, x-sorted)."""
+    """Sweeps one side's distinct points (y >= 0, sorted by x, then y).
 
-    def __init__(self, pts: List[Point], ids: List[int], m: MetricParams):
+    An arrival merges a suffix of the live clusters and an exposure hit
+    merges the last two, so every live cluster stays a run of `pts` and
+    the clusters' runs tile it in order."""
+
+    def __init__(self, pts: List[Point], m: MetricParams):
         self.pts = pts
-        self.ids = ids
         self.m = m
         self.frontier = Frontier(m)
         self.tree = None
@@ -149,10 +163,9 @@ class _SideBuilder:
 
     # -- cluster state maintenance -------------------------------------
 
-    def _new_cluster(self, q: Point, qid: int) -> _Live:
-        c = _Live()
-        c.member_ids = [qid]
-        c.left_x = c.right_x = q.x
+    def _new_cluster(self, q: Point, start: int) -> _Live:
+        c = _Live(start)
+        c.right_x = q.x
         c.ymax = q.y
         if self.kind == "convex":
             c.chain = [q]
@@ -181,9 +194,7 @@ class _SideBuilder:
             c.corner = corner
             events.append((corner, corner))
 
-    def _append_point(self, c: _Live, q: Point, qid: int, events: List) -> None:
-        c.member_ids.append(qid)
-        c.left_x = min(c.left_x, q.x)
+    def _append_point(self, c: _Live, q: Point, events: List) -> None:
         if c.box is not None:
             s, t = box_coords(q, self.kind)
             self._grow_box(c, s, s, t, t, events)
@@ -196,9 +207,7 @@ class _SideBuilder:
         c.ymax = max(c.ymax, q.y)
 
     def _merge(self, left: _Live, right: _Live, events: List) -> _Live:
-        """Absorb `right` (strictly to the right) into `left`."""
-        left.member_ids.extend(right.member_ids)
-        left.left_x = min(left.left_x, right.left_x)
+        """Absorb `right`, the run just after `left`'s, into `left`."""
         if left.box is not None:
             assert right.box is not None
             self._grow_box(left, *right.box, events)
@@ -219,21 +228,21 @@ class _SideBuilder:
     # -- sweep ----------------------------------------------------------
 
     def run(self) -> List[_Live]:
-        for q, qid in zip(self.pts, self.ids):
-            self._arrive(q, qid)
+        for i, q in enumerate(self.pts):
+            self._arrive(q, i)
         return self.frontier.live
 
-    def _arrive(self, q: Point, qid: int) -> None:
+    def _arrive(self, q: Point, i: int) -> None:
         live = self.frontier.live
         j = self.frontier.locate(q)
         events: List = []
         if j is None:
-            self.frontier.append(self._new_cluster(q, qid))
+            self.frontier.append(self._new_cluster(q, i))
         else:
             c = live[j]
             for r in live[j + 1 :]:
                 self._merge(c, r, events)
-            self._append_point(c, q, qid, events)
+            self._append_point(c, q, events)
             self.frontier.update(c, len(live) - j)
         self._drain(events)
 
@@ -244,8 +253,9 @@ class _SideBuilder:
                 events.clear()
                 return
             e = events[-1]
+            # capped at the last cluster's left end, its run's first point
             segs = exposed_boundary_segments(
-                e, self.m, x_cap=live[-1].left_x, y_top=self.y_top
+                e, self.m, x_cap=self.pts[live[-1].start].x, y_top=self.y_top
             )
             hit = False
             if segs:
@@ -260,14 +270,13 @@ class _SideBuilder:
             self.frontier.update(left, 2)
 
 
-def _side_closure(c: _Live, side_pts: Sequence[Point], mirror: bool) -> ClosureHull:
+def _side_closure(c: _Live, run: Sequence[Point], mirror: bool) -> ClosureHull:
     """Convex closure hull of one swept cluster: its live upper chain and a
-    lower chain folded over its members `side_pts[i]`, which `member_ids`
-    lists in sweep order (side coordinates); `mirror` maps the result back
-    below the highway."""
+    lower chain folded over its run of sorted points (side coordinates);
+    `mirror` maps the result back below the highway."""
     lower: List[Point] = []
-    for i in c.member_ids:
-        push_lower(lower, side_pts[i])
+    for p in run:
+        push_lower(lower, p)
     return _map_hull("convex", c.chain, lower, (), 1.0, -1.0 if mirror else 1.0)
 
 
@@ -461,10 +470,13 @@ def cross_side_merge(
 
     Components merge until no generator of one walks to a generator of
     another or lies in the walking region of its closure edges (either
-    side).  Components are swept by the low end of their x-span with the
-    reach slack; each round joins the components it linked, builds each
-    changed side once, and retests only pairs with a component joined in
-    the previous round.  Unions do not
+    side).  Components are swept by the low end of their x-span, and a
+    pair is tested only when its x-gap is within the bare reach
+    K (ymax_i + ymax_j) of `reach_coefficient`, which rounding oversteps as
+    v -> 1; the rounding-widened `reach_slack` box cuts only the pair and
+    edge-region tests inside `_clusters_linked`.  Each round joins the
+    components it linked, builds each changed side once, and retests only
+    pairs with a component joined in the previous round.  Unions do not
     depend on the order pairs are tested in, so every round ends with the
     partition that testing every pair would give.
     """
@@ -588,53 +600,61 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     frame (largest |coordinate| in [1, 2)); dedup, the sweeps, the join and
     the footprints run there, and the hull vertices, virtual corners,
     footprints and bridges are scaled back by 2^e.  Exact, up to the
-    subnormal limit of the module docstring.
+    subnormal limit of the module docstring.  One stable sort of the input
+    serves the dedup, both sweeps and every cluster's members, each a
+    slice of it.
     """
     xs, ys = coordinates(points)
     e = math.frexp(max(max(map(abs, xs)), max(map(abs, ys))))[1] - 1
 
-    # collapse duplicates in the unit frame; dedup id -> input indices
-    index_of: Dict[Tuple[float, float], int] = {}
-    orig: List[List[int]] = []
-    for i, key in enumerate(zip(map(math.ldexp, xs, repeat(-e)), map(math.ldexp, ys, repeat(-e)))):
-        di = index_of.setdefault(key, len(orig))
-        if di == len(orig):
-            orig.append([i])
-        else:
-            orig[di].append(i)
+    # one stable sort of the input in the unit frame, by (below, x, side y):
+    # copies are adjacent with the first copy first, and each side's
+    # distinct points follow in the order its sweep takes them
+    keys = [(y < 0.0, x, -y if y < 0.0 else y)
+            for x, y in zip(map(math.ldexp, xs, repeat(-e)), map(math.ldexp, ys, repeat(-e)))]
     del xs, ys
-    dedup = [Point(x, y) for x, y in index_of]
-    del index_of
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    # distinct point d is order[cuts[d]:cuts[d + 1]], and firsts[d] its
+    # first copy's key; above points sort first
+    cuts = [k for k in range(len(order)) if k == 0 or keys[order[k]] != keys[order[k - 1]]]
+    firsts = [keys[order[k]] for k in cuts]
+    cuts.append(len(order))
+    del keys
+    n_up = bisect_left(firsts, (True,))
+    # side coordinates: below-side points mirrored
+    pts = [Point(x, y) for _, x, y in firsts]
+    del firsts
 
-    # per-side sweeps in side coordinates (below-side points mirrored), in
-    # their x, y order; `lives` holds the above clusters, then the below ones
-    side_pts = [Point(p.x, -p.y) if p.y < 0.0 else p for p in dedup]
-    above = sorted((i for i, p in enumerate(dedup) if p.y >= 0.0), key=side_pts.__getitem__)
-    below = sorted((i for i, p in enumerate(dedup) if p.y < 0.0), key=side_pts.__getitem__)
-    sides = [_SideBuilder([side_pts[i] for i in ids], ids, m).run() for ids in (above, below)]
-    lives = sides[0] + sides[1]
+    # per-side sweeps; swept cluster gi, above ones first, is the run
+    # runs[gi] of distinct points
+    sides = [_SideBuilder(pts[:n_up], m).run(), _SideBuilder(pts[n_up:], m).run()]
     n_above = len(sides[0])
+    starts = [c.start for c in sides[0]] + [n_up + c.start for c in sides[1]] + [len(pts)]
+    runs = list(zip(starts, starts[1:]))
+    # each run's points in the unit frame
+    groups = [pts[s:t] if s < n_up else [Point(x, -y) for x, y in pts[s:t]] for s, t in runs]
     # one closure per swept cluster, built once for the join and assembly
     if m.closure_kind == "convex":
-        closures = [_side_closure(c, side_pts, gi >= n_above) for gi, c in enumerate(lives)]
+        closures = [_side_closure(c, pts[s:t], s >= n_up)
+                    for c, (s, t) in zip(sides[0] + sides[1], runs)]
     else:
-        closures = [closure_hull([dedup[i] for i in c.member_ids], m) for c in lives]
+        closures = [closure_hull(g, m) for g in groups]
 
-    if 0 < n_above < len(lives):
-        comps = cross_side_merge([[dedup[i] for i in c.member_ids] for c in lives], closures,
-                                 n_above, m)
+    if 0 < n_above < len(runs):
+        comps = cross_side_merge(groups, closures, n_above, m)
     else:
         comps = [([gi], h, None) if gi < n_above else ([gi], None, h)
                  for gi, h in enumerate(closures)]
-    # clusters in order of their leftmost member
-    comps.sort(key=lambda comp: min(lives[gi].left_x for gi in comp[0]))
+    # clusters in order of their leftmost member, each run's first point
+    comps.sort(key=lambda comp: min(pts[runs[gi][0]].x for gi in comp[0]))
     clusters = [
-        Cluster(sorted(i for gi in gis for di in lives[gi].member_ids for i in orig[di]), above, below)
+        Cluster(sorted(i for gi in gis for i in order[cuts[runs[gi][0]]:cuts[runs[gi][1]]]),
+                above, below)
         for gis, above, below in comps
     ]
 
     # free the sweep state before the output is mapped back
-    del sides, lives, closures, dedup, side_pts, orig
+    del sides, closures, groups, pts, order, cuts
     tch = footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters))
     # back to the caller's frame, in place
     s = 2.0**e

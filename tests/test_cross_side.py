@@ -160,12 +160,16 @@ def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[Side, 
         lives = []
         if sweep and ids:
             try:
-                lives = hull_builder._SideBuilder([side_pts[i] for i in ids], ids, m).run()
-                groups = [[dedup[i] for i in c.member_ids] for c in lives]
+                lives = hull_builder._SideBuilder([side_pts[i] for i in ids], m).run()
             except NumericError:
                 pass
+        if lives:
+            # a swept cluster is a run of the side's sorted points
+            starts = [c.start for c in lives] + [len(ids)]
+            groups = [[dedup[i] for i in ids[s:t]] for s, t in zip(starts, starts[1:])]
         if lives and m.closure_kind == "convex":
-            out.append([(g, hull_builder._side_closure(c, side_pts, not above_side))
+            out.append([(g, hull_builder._side_closure(c, [Point(p.x, abs(p.y)) for p in g],
+                                                      not above_side))
                         for g, c in zip(groups, lives)])
         else:
             out.append(_with_closures(groups, m))

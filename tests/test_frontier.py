@@ -24,7 +24,7 @@ def singleton(pt, m):
         e.right_corner = pt
     else:
         e.chain = [pt]
-    e.left_x = e.right_x = pt.x
+    e.right_x = pt.x
     e.ymax = pt.y
     return e
 
@@ -87,7 +87,7 @@ def test_falling_edge_band_agrees_with_exhaustive_region_test():
         m = MetricParams.make(p, v)
         e = EnvelopeEntry()
         e.chain = [unit(hi, s), unit(lo, s)]
-        e.left_x, e.right_x, e.ymax = s * hi.x, s * lo.x, s * hi.y
+        e.right_x, e.ymax = s * lo.x, s * hi.y
         f = Frontier(m)
         f.append(e)
         queries = sorted(
@@ -127,7 +127,7 @@ def test_locate_reads_the_top_off_the_chain(name):
         m = MetricParams.make(p, v)
         e = EnvelopeEntry()
         e.chain = [unit(g, s) for g in pts]
-        e.left_x, e.right_x, e.ymax = s * pts[0].x, s * pts[-1].x, s * pts[top].y
+        e.right_x, e.ymax = s * pts[-1].x, s * pts[top].y
         f = Frontier(m)
         f.append(e)
         queries = sorted(

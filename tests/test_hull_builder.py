@@ -28,6 +28,18 @@ def test_single_point_and_duplicates():
     assert tch.bridges == []
     dup = hull_builder.build([Point(0, 1), Point(0, 1), Point(50, 2)], m)
     assert helpers.canon(c.member_indices for c in dup.clusters) == ((0, 1), (2,))
+    both = hull_builder.build([Point(0, 1), Point(50, -2), Point(0, 1), Point(50, -2), Point(50, -2)], m)
+    assert helpers.canon(c.member_indices for c in both.clusters) == ((0, 2), (1, 3, 4))
+    # copies collapse to the first copy's floats, zero signs included (the
+    # p = inf diamond recomputes its vertices from rotated coordinates)
+    for p in (1.0, 2.0):
+        for zeros in ([Point(-0.0, 0.0), Point(0.0, 0.0)], [Point(0.0, 0.0), Point(-0.0, 0.0)],
+                      [Point(0.0, -0.0), Point(0.0, 0.0)]):
+            (cl,) = hull_builder.build(zeros, MetricParams.make(p, 2.0)).clusters
+            assert cl.member_indices == [0, 1]
+            want = [math.copysign(1.0, c) for c in zeros[0]]
+            for v in cl.closure.upper.vertices + cl.closure.lower.vertices:
+                assert [math.copysign(1.0, c) for c in v] == want
 
 
 def test_two_far_singletons_bridge_spans_entry_points():
@@ -307,6 +319,28 @@ def test_partition_covers_all_indices_once():
         tch = hull_builder.build(pts, m)
         seen = sorted(i for c in tch.clusters for i in c.member_indices)
         assert seen == list(range(len(pts)))
+
+
+def test_one_sided_clusters_are_runs_of_the_sorted_side():
+    # an arrival merges a suffix of the live clusters and an exposure hit
+    # the last two, so each cluster's distinct points are one block of its
+    # side's (x, |y|) order
+    multi = 0
+    for i, p in enumerate(helpers.P_GRID):
+        for j, v in enumerate(helpers.V_GRID):
+            m = MetricParams.make(p, v)
+            rng = random.Random(1800 + 10 * i + j)
+            for _ in range(10):
+                pts = helpers.random_points(rng, rng.randint(2, 60))
+                for side in ([Point(x, abs(y)) for x, y in pts],
+                             [Point(x, -abs(y)) for x, y in pts if y != 0.0]):
+                    keys = [(q.x, abs(q.y)) for q in side]
+                    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+                    for cl in hull_builder.build(side, m).clusters if side else ():
+                        block = sorted({rank[keys[k]] for k in cl.member_indices})
+                        assert block == list(range(block[0], block[-1] + 1))
+                        multi += len(block) > 1
+    assert multi >= 1000
 
 
 # -- oracle equivalence ---------------------------------------------------------------
