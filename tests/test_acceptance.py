@@ -231,18 +231,19 @@ def test_a5_build_scales_near_linearithmic(capfd):
                 for _ in range(n)
             ]
 
-        def median_build(n):
-            runs = []
-            for _ in range(5):
-                pts = draw(n)
-                t0 = time.perf_counter()
-                hull_builder.build(pts, m)
-                runs.append(time.perf_counter() - t0)
-            runs.sort()
-            return runs[2]
+        def timed_build(pts):
+            t0 = time.perf_counter()
+            hull_builder.build(pts, m)
+            return time.perf_counter() - t0
 
-        t16 = median_build(1 << 16)
-        t17 = median_build(1 << 17)
+        # the ten inputs are drawn first, five of 2^16 and then five of
+        # 2^17, and the builds of the two sizes alternate, so drift of the
+        # host's speed hits both medians alike
+        inputs = [draw(n) for n in [1 << 16] * 5 + [1 << 17] * 5]
+        runs = [timed_build(inputs[i + k]) for i in range(5) for k in (0, 5)]
+        del inputs
+        t16 = sorted(runs[0::2])[2]
+        t17 = sorted(runs[1::2])[2]
         ratio = t17 / t16
         assert ratio <= 2.6, "T(2n)/T(n) = %.2f at n=2^16 (budget 2.6)" % ratio
 

@@ -450,6 +450,23 @@ def test_alternating_join_starts_from_the_sweep_closures(monkeypatch):
     assert len(tch.clusters) == 1024 and not calls
 
 
+def test_one_sided_box_builds_call_no_closure_hull(monkeypatch):
+    # one-sided box closures come from the sweep's extremes
+    calls = _counted_closures(monkeypatch)
+    rng = random.Random(20)
+    clusters = 0
+    for p in (1.0, INF):
+        for v in helpers.V_GRID:
+            m = MetricParams.make(p, v)
+            for _ in range(4):
+                pts = helpers.random_points(rng, rng.randint(2, 60))
+                for side in ([Point(x, abs(y)) for x, y in pts],
+                             [Point(x, -abs(y)) for x, y in pts if y != 0.0]):
+                    if side:
+                        clusters += len(hull_builder.build(side, m).clusters)
+    assert clusters >= 200 and not calls
+
+
 def test_join_builds_each_closure_once(monkeypatch):
     # mixed clusters form here; each side the join gathers from several
     # swept clusters is built once, and a side of one swept cluster keeps
@@ -468,7 +485,8 @@ def test_join_builds_each_closure_once(monkeypatch):
 def test_join_decides_each_generator_pair_once(monkeypatch):
     # mixed clusters form here: within one link test no unordered
     # generator pair reaches the walking predicate twice, and the edge
-    # tests call the minimizer at most 56 times
+    # tests, each (point, edge) decided once per build, call the minimizer
+    # at most 35 times
     active: List[Counter] = []
     done: List[Counter] = []
     minimized = []
@@ -498,4 +516,19 @@ def test_join_decides_each_generator_pair_once(monkeypatch):
     hull_builder.build(_alternating(256), MetricParams.make(2.0, 1.1))
     repeats = sum(n - 1 for c in done for n in c.values())
     assert sum(map(len, done)) > 0 and repeats == 0, repeats
-    assert 0 < len(minimized) <= 56
+    assert 0 < len(minimized) <= 35
+
+
+def test_join_decides_each_edge_region_once(monkeypatch):
+    # the join keeps each edge-region verdict for the whole build, so no
+    # (point, edge) triple reaches the test twice across fixpoint rounds
+    seen: Counter = Counter()
+    edge = hull_builder._point_in_edge_region
+
+    def counted_edge(u, a, b, m):
+        seen[(u, a, b)] += 1
+        return edge(u, a, b, m)
+
+    monkeypatch.setattr(hull_builder, "_point_in_edge_region", counted_edge)
+    hull_builder.build(_alternating(256), MetricParams.make(2.0, 1.1))
+    assert len(seen) > 100 and max(seen.values()) == 1

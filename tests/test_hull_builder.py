@@ -1,13 +1,15 @@
 """Partition construction end to end, checked against the exhaustive reference."""
 
+import gc
 import math
 import random
+from collections import Counter
 
 import pytest
 
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.geometry import Chain, exposed_boundary_segments, right_edge_tangent
+from highwayhull.geometry import Chain, closure_hull, exposed_boundary_segments, right_edge_tangent
 from highwayhull.metric import (
     INF,
     InvalidInputError,
@@ -114,6 +116,30 @@ def test_build_input_validation():
         hull_builder.build([], m)
     with pytest.raises(InvalidInputError):
         hull_builder.build([Point(math.nan, 0.0)], m)
+
+
+def test_build_pauses_the_collector_and_restores_it(monkeypatch):
+    # paused inside, left as found on return and on error
+    m = MetricParams.make(2.0, 2.0)
+    seen = []
+    sweep = hull_builder._SideBuilder.run
+
+    def run(self):
+        seen.append(gc.isenabled())
+        return sweep(self)
+
+    monkeypatch.setattr(hull_builder._SideBuilder, "run", run)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            hull_builder.build([Point(0.0, 1.0), Point(3.0, -2.0)], m)
+            assert gc.isenabled() == enabled
+            with pytest.raises(InvalidInputError):
+                hull_builder.build([Point(0.0, 1.0), Point(math.nan, 0.0)], m)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert len(seen) == 4 and not any(seen)
 
 
 @pytest.mark.parametrize("run", [hull_builder.build, oracle.cluster], ids=["build", "oracle"])
@@ -341,6 +367,63 @@ def test_one_sided_clusters_are_runs_of_the_sorted_side():
                         assert block == list(range(block[0], block[-1] + 1))
                         multi += len(block) > 1
     assert multi >= 1000
+
+
+def _hex_hull(h):
+    """Every float of a closure hull as hex, so zero signs count."""
+    return tuple(tuple((q.x.hex(), q.y.hex()) for q in vs)
+                 for vs in (h.upper.vertices, h.lower.vertices, h.corner_generators))
+
+
+def _zero_heavy(rng, n):
+    """Integer grid points in [-3, 3]^2, each zero coordinate signed at random."""
+
+    def signed(k):
+        return math.copysign(0.0, rng.choice((-1.0, 1.0))) if k == 0 else float(k)
+
+    return [Point(signed(rng.randint(-3, 3)), signed(rng.randint(-3, 3))) for _ in range(n)]
+
+
+def _signed_zero_xs(rng, n):
+    """Uniform points, about a third of them with x = +-0.0."""
+    return [Point(math.copysign(0.0, rng.choice((-1.0, 1.0))) if rng.random() < 0.35
+                  else rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
+
+
+def test_swept_box_closures_equal_closure_hull_of_their_runs(monkeypatch):
+    # each box closure comes from its swept cluster's extremes; it must be
+    # closure_hull of the cluster's run to the bit, zero signs included,
+    # which below the highway takes x ties in the opposite order
+    box_closure = hull_builder._box_closure
+    checked = Counter()
+
+    def compared(c, pts, s, t, mirror, kind):
+        got = box_closure(c, pts, s, t, mirror, kind)
+        run = [Point(x, -y) if mirror else Point(x, y) for x, y in pts[s:t]]
+        assert _hex_hull(got) == _hex_hull(closure_hull(run, m)), (kind, mirror, run)
+        zeros = {math.copysign(1.0, q.x) for q in run if q.x == 0.0}
+        checked["below" if mirror else "above"] += 1
+        checked["signed zero ties below"] += mirror and len(zeros) == 2
+        return got
+
+    monkeypatch.setattr(hull_builder, "_box_closure", compared)
+    rng = random.Random(1900)
+    pair = [Point(-0.0, -1.0), Point(0.0, -2.0)]
+    for p in (1.0, INF):
+        for v in helpers.V_GRID:
+            m = MetricParams.make(p, v)
+            inputs = [pair, pair + [Point(0.2, 0.3)], pair[::-1] + [Point(0.5, -1.5)]]
+            for _ in range(12):
+                inputs.append(_zero_heavy(rng, rng.randint(2, 30)))
+                inputs.append(_signed_zero_xs(rng, rng.randint(2, 30)))
+            for pts in inputs:
+                # as drawn, above only (y = -0.0 stays above) and below only
+                for side in (pts, [Point(x, y if y == 0.0 else abs(y)) for x, y in pts],
+                             [Point(x, -abs(y)) for x, y in pts if y != 0.0]):
+                    if side:
+                        hull_builder.build(side, m)
+    assert checked["above"] >= 400 and checked["below"] >= 400, checked
+    assert checked["signed zero ties below"] >= 150, checked
 
 
 # -- oracle equivalence ---------------------------------------------------------------
