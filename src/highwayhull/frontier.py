@@ -11,18 +11,21 @@ beyond it can still walk in floats), so there it can end the scan before
 a cluster the float predicate would accept.
 
 Membership against one cluster is decided by predicates on its governing
-generators: the box metrics are covered by a single corner (the right box
-corner for p=1, the diamond apex for p=inf), convex closures by the
-top..rightmost subchain of the upper hull plus, for each negative-slope
-edge there, the tangent bulge band of the edge's walking region.  The top
-is read off the chain by walking left from its right end while it rises.
-Tangents are computed lazily and cached per edge, in one dict of the
-frontier.  A box entry is skipped without its corner test when
+generators.  The box metrics are covered by a single corner (the right box
+corner for p=1, the diamond apex for p=inf), and `locate` runs one loop of
+its own for them: the K*Y break, then a skip without the corner test when
 q.x - right_x > kr*(ymax + q.y) + dr, the rounding-widened reach of
-`metric.reach_slack`: a corner that far away fails the float predicate
-too, so skipping it never changes an answer.  That slack is a constant
-of the unit frame of `hull_builder.build`, so arrivals and clusters are
-in that frame.
+`metric.reach_slack` (a corner that far away fails the float predicate
+too, so skipping it never changes an answer), then one call of
+`metric._box_in_walking_region`, the unchecked box form of
+`in_walking_region` with the same verdict.  That slack is a constant of the
+unit frame of `hull_builder.build`, so arrivals and clusters are in that
+frame, and they are validated there once.  Convex closures are covered by
+the top..rightmost subchain of the upper hull, each vertex decided by the
+checked `in_walking_region`, plus, for each negative-slope edge there, the
+tangent bulge band of the edge's walking region.  The top is read off the
+chain by walking left from its right end while it rises.  Tangents are
+computed lazily and cached per edge, in one dict of the frontier.
 """
 
 from __future__ import annotations
@@ -30,7 +33,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import right_edge_tangent
-from .metric import INF, MetricParams, Point, in_walking_region, reach_coefficient, reach_slack
+from .metric import (
+    INF,
+    MetricParams,
+    Point,
+    _box_in_walking_region,
+    in_walking_region,
+    reach_coefficient,
+    reach_slack,
+)
 
 _MISSING = object()
 
@@ -45,9 +56,10 @@ class EnvelopeEntry:
     The builder owns and mutates these (single writer); the frontier only
     reads them during locate.  For convex closures `chain` is the live
     upper hull; for box closures `right_corner` is the single governing
-    generator and `chain` is unused.  Locate reads only the right end, so
-    an entry carries no left end: the builder's clusters are runs of the
-    x-sorted arrivals, and a run's first point is its left end.
+    generator, which the frontier's box loop tests, and `chain` is unused.
+    Locate reads only the right end, so an entry carries no left end: the
+    builder's clusters are runs of the x-sorted arrivals, and a run's first
+    point is its left end.
     """
 
     __slots__ = (
@@ -74,6 +86,7 @@ class Frontier:
         self.params = m
         self._k = reach_coefficient(m)
         self._kr, self._dr = reach_slack(m)
+        self._box = m.closure_kind != "convex"
         self.live: List[EnvelopeEntry] = []
         self._last_x = -INF
         # right_edge_tangent of each chain edge (hi, lo) tested so far
@@ -92,28 +105,36 @@ class Frontier:
 
     def locate(self, q: Point) -> Optional[int]:
         """Smallest live index whose right walking region contains q, else None."""
-        if q.x < self._last_x:
+        qx, qy = q
+        if qx < self._last_x:
             raise ContractViolationError(
-                "arrival x=%r precedes processed x=%r" % (q.x, self._last_x)
+                "arrival x=%r precedes processed x=%r" % (qx, self._last_x)
             )
-        self._last_x = q.x
+        self._last_x = qx
         best = None
-        k, kr, dr = self._k, self._kr, self._dr
-        for i in range(len(self.live) - 1, -1, -1):
-            e = self.live[i]
-            if q.x - e.right_x > k * (e.pmax_y + q.y):
+        k, live = self._k, self.live
+        if self._box:
+            kr, dr, m = self._kr, self._dr, self.params
+            for i in range(len(live) - 1, -1, -1):
+                e = live[i]
+                if qx - e.right_x > k * (e.pmax_y + qy):
+                    break
+                # the corner lies at or left of right_x, at height ymax
+                if qx - e.right_x > kr * (e.ymax + qy) + dr:
+                    continue
+                if _box_in_walking_region(e.right_corner, q, m):
+                    best = i
+            return best
+        for i in range(len(live) - 1, -1, -1):
+            e = live[i]
+            if qx - e.right_x > k * (e.pmax_y + qy):
                 break
-            # the corner lies at or left of right_x, at height ymax
-            if e.right_corner is not None and q.x - e.right_x > kr * (e.ymax + q.y) + dr:
-                continue
             if self._entry_hits(e, q):
                 best = i
         return best
 
     def _entry_hits(self, e: EnvelopeEntry, q: Point) -> bool:
         m = self.params
-        if e.right_corner is not None:
-            return in_walking_region(e.right_corner, q, m)
         k = self._k
         t_a = m.tan_alpha
         q_entry = q.x - q.y * t_a

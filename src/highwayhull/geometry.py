@@ -192,6 +192,16 @@ def lower_hull(points: Sequence[Point]) -> Chain:
     return Chain(tuple(h), "lower")
 
 
+def _box_corners(pts: Sequence[Point], kind: str) -> set:
+    """Corners of the box closure of `pts`, formed in the frame of box_coords."""
+    ss, ts = zip(*(box_coords(pt, kind) for pt in pts))
+    return {box_point(s, t, kind) for s in (min(ss), max(ss)) for t in (min(ts), max(ts))}
+
+
+def _finite(pts) -> bool:
+    return all(math.isfinite(x) and math.isfinite(y) for x, y in pts)
+
+
 def closure_hull(members: Sequence[Point], m: MetricParams) -> ClosureHull:
     """Closure shape of a one-sided member set under the metric m."""
     if not members:
@@ -204,8 +214,16 @@ def closure_hull(members: Sequence[Point], m: MetricParams) -> ClosureHull:
     kind = m.closure_kind
     if kind == "convex":
         return ClosureHull(kind, upper_hull(pts), lower_hull(pts), ())
-    ss, ts = zip(*(box_coords(pt, kind) for pt in pts))
-    corners = sorted({box_point(s, t, kind) for s in (min(ss), max(ss)) for t in (min(ts), max(ts))})
+    corners = _box_corners(pts, kind)
+    if not _finite(corners):
+        # near the float maximum the frame sums overflow: build the corners
+        # an eighth of the scale down, exact except in subnormal coordinates
+        corners = {Point(8.0 * x, 8.0 * y)
+                   for x, y in _box_corners([Point(x / 8.0, y / 8.0) for x, y in pts], kind)}
+        if not _finite(corners):
+            raise NumericError(
+                "the box closure at p=%r, v=%r overflows the float range" % (m.p, m.v))
+    corners = sorted(corners)
     virtual = tuple(c for c in corners if c not in member_set)
     return ClosureHull(kind, upper_hull(corners), lower_hull(corners), virtual)
 

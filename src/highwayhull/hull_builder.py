@@ -8,7 +8,9 @@ answer is the same at every scale.  Inside the frame every member has
 |x| < 2, so each tolerance (EPS_REGION, the reach slack) is a constant.
 The one limit: a nonzero coordinate more than about 2^1021 below the
 largest becomes subnormal in the frame and loses bits, and points that
-collapse there are reported as duplicates.
+collapse there are reported as duplicates.  A result that does not fit
+in floats (a p = inf apex above the largest float) raises NumericError
+instead of scaling back to inf.
 
 The input is sorted once, stably, by (below, x, side y): below means
 y < 0 (y == 0 counts as above), and side y is -y below the highway and y
@@ -25,7 +27,14 @@ against the static point set with the subpath hull structure and every
 hit merges the rightmost pair of clusters; the loop runs until no
 exposure hits.  Both merges join adjacent runs, so every swept cluster is
 a run of its side's sorted points: the sweep keeps only its start, and
-its input members are one slice of the sorted input.
+its input members are one slice of the sorted input.  Under the box
+metrics a cluster is its four extremes in the frame of
+`metric.box_coords`: an arrival computes its frame coordinates once,
+growth is compare-and-assign, and the right corner, right_x, ymax and
+exposing corner are read off the extremes, with a Point made only for the
+right corner and for an exposing corner that moved.  The frontier decides
+a box cluster by its right corner alone, with the unchecked
+`metric._box_in_walking_region`.
 
 Each swept cluster's closure is built once, right after the sweeps, from
 its sweep state: a convex closure from its live upper chain and a lower
@@ -98,6 +107,7 @@ from .geometry import (
 from .metric import (
     INF,
     MetricParams,
+    NumericError,
     Point,
     _highway_time,
     _lp,
@@ -182,38 +192,41 @@ class _SideBuilder:
         c = _Live(start)
         c.right_x = q.x
         c.ymax = q.y
-        if self.kind == "convex":
-            c.chain = [q]
-        else:
-            s, t = box_coords(q, self.kind)
-            c.box = [s, s, t, t]
-            c.right_corner = q
-            c.corner = box_point(s, t, self.kind)
+        c.chain = [q]
         return c
 
     def _grow_box(self, c: _Live, s0: float, s1: float, t0: float, t1: float, events: List) -> None:
-        """Widen c's box to cover [s0, s1] x [t0, t1]; queue the exposing
-        corner if it moved."""
+        """Widen c's box to cover [s0, s1] x [t0, t1], ties keeping the old
+        extreme as min and max do; queue the exposing corner if it moved.
+        The right corner, right_x and ymax are the box_point values of
+        (s1, t1) and (s1, t0), in frame scalars."""
         b = c.box
-        assert b is not None
-        b[0] = min(b[0], s0)
-        b[1] = max(b[1], s1)
-        b[2] = min(b[2], t0)
-        b[3] = max(b[3], t1)
-        kind = self.kind
-        c.right_corner = top = box_point(b[1], b[3], kind)
-        c.right_x = box_point(b[1], b[2], kind).x
-        c.ymax = top.y
-        corner = top if self.apex_exposes else box_point(b[0], b[3], kind)
-        if corner != c.corner:
-            c.corner = corner
+        if s0 < b[0]:
+            b[0] = s0
+        if s1 > b[1]:
+            b[1] = s1
+        if t0 < b[2]:
+            b[2] = t0
+        if t1 > b[3]:
+            b[3] = t1
+        s0, s1, t0, t1 = b
+        if self.apex_exposes:
+            c.right_corner = top = Point((s1 - t1) / 2.0, (s1 + t1) / 2.0)
+            c.right_x = (s1 - t0) / 2.0
+            c.ymax = top.y
+            if top != c.corner:
+                c.corner = top
+                events.append((top, top))
+            return
+        c.right_corner = Point(s1, t1)
+        c.right_x = s1
+        c.ymax = t1
+        corner = c.corner
+        if s0 != corner.x or t1 != corner.y:
+            c.corner = corner = Point(s0, t1)
             events.append((corner, corner))
 
     def _append_point(self, c: _Live, q: Point, events: List) -> None:
-        if c.box is not None:
-            s, t = box_coords(q, self.kind)
-            self._grow_box(c, s, s, t, t, events)
-            return
         if push_upper(c.chain, q) and len(c.chain) >= 2:
             a, b = c.chain[-2], c.chain[-1]
             if b.y > a.y:
@@ -224,7 +237,6 @@ class _SideBuilder:
     def _merge(self, left: _Live, right: _Live, events: List) -> _Live:
         """Absorb `right`, the run just after `left`'s, into `left`."""
         if left.box is not None:
-            assert right.box is not None
             self._grow_box(left, *right.box, events)
             return left
         left.right_x = max(left.right_x, right.right_x)
@@ -243,23 +255,49 @@ class _SideBuilder:
     # -- sweep ----------------------------------------------------------
 
     def run(self) -> List[_Live]:
+        arrive = self._arrive if self.kind == "convex" else self._arrive_box
         for i, q in enumerate(self.pts):
-            self._arrive(q, i)
+            arrive(q, i)
         return self.frontier.live
 
     def _arrive(self, q: Point, i: int) -> None:
         live = self.frontier.live
         j = self.frontier.locate(q)
-        events: List = []
         if j is None:
             self.frontier.append(self._new_cluster(q, i))
-        else:
-            c = live[j]
-            for r in live[j + 1 :]:
-                self._merge(c, r, events)
-            self._append_point(c, q, events)
-            self.frontier.update(c, len(live) - j)
-        self._drain(events)
+            return
+        events: List = []
+        c = live[j]
+        for r in live[j + 1 :]:
+            self._merge(c, r, events)
+        self._append_point(c, q, events)
+        self.frontier.update(c, len(live) - j)
+        if events:
+            self._drain(events)
+
+    def _arrive_box(self, q: Point, i: int) -> None:
+        """`_arrive` under the box metrics: q's frame coordinates are
+        computed once, and a new cluster's right corner is q itself."""
+        live = self.frontier.live
+        j = self.frontier.locate(q)
+        s, t = box_coords(q, self.kind)
+        if j is None:
+            c = _Live(i)
+            c.right_x = q.x
+            c.ymax = q.y
+            c.box = [s, s, t, t]
+            c.right_corner = q
+            c.corner = box_point(s, t, self.kind)
+            self.frontier.append(c)
+            return
+        events: List = []
+        c = live[j]
+        for r in live[j + 1 :]:
+            self._grow_box(c, *r.box, events)
+        self._grow_box(c, s, s, t, t, events)
+        self.frontier.update(c, len(live) - j)
+        if events:
+            self._drain(events)
 
     def _drain(self, events: List) -> None:
         live = self.frontier.live
@@ -652,6 +690,21 @@ def footprints_and_bridges(tch: TimeConvexHull) -> TimeConvexHull:
     return tch
 
 
+def _require_scalable(tch: TimeConvexHull, e: int) -> None:
+    """NumericError unless every hull vertex, virtual corner, footprint and
+    bridge of the unit-frame `tch` stays finite when scaled by 2^e."""
+    vals = [c for cl in tch.clusters for h in (cl.closure_above, cl.closure_below) if h is not None
+            for vs in (h.upper.vertices, h.lower.vertices, h.corner_generators) for pt in vs for c in pt]
+    vals += [c for cl in tch.clusters if cl.footprint is not None for c in cl.footprint]
+    vals += [c for b in tch.bridges for c in b]
+    top = max(map(abs, vals))
+    if math.isinf(top * 2.0**e):
+        m = tch.params
+        raise NumericError(
+            "the hull at p=%r, v=%r overflows the float range: a unit-frame value %r "
+            "scaled back by 2^%d" % (m.p, m.v, top, e))
+
+
 def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     """Cluster `points` under metric `m` and assemble the full hull.
 
@@ -735,8 +788,13 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     # free the sweep state before the output is mapped back
     del sides, closures, pts, order, cuts
     tch = footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters))
-    # back to the caller's frame, in place
+    # back to the caller's frame, in place.  Frame values stay within
+    # 4 (1 + tan(alpha)): members within 2, box corners within 4, and the
+    # highway entries x +- |y| tan(alpha) of both.  Every value is checked
+    # only where four times that bound, scaled, reaches 2^1024.
     s = 2.0**e
+    if not s * 8.0 * (1.0 + m.tan_alpha) < 2.0**1023:
+        _require_scalable(tch, e)
     for cl in tch.clusters:
         cl.closure_above, cl.closure_below = (
             None if h is None else _map_hull(h.kind, h.upper.vertices, h.lower.vertices,

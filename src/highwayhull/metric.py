@@ -17,7 +17,9 @@ Validation happens once, in the public functions: lp_distance checks p
 and both points, highway_time both points, and the predicates built on
 highway_time (in_walking_region, time_distance, shortest_path) take the
 norm from the unchecked _lp.  Callers whose points are already validated
-(the join's edge-region objective) use _highway_time and _lp directly.
+use unchecked forms: the join's edge-region objective calls _highway_time
+and _lp, and the sweep's box corner test _box_in_walking_region, which
+gives in_walking_region's verdict for p in {1, inf} in one call.
 
 Box frame: a closure under p = 1 is an axis-parallel box and one under
 p = inf a box with sides of slope +-1.  In the frame (s, t) of box_coords,
@@ -54,7 +56,8 @@ class InvalidInputError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """An iterative solve failed to bracket or converge."""
+    """An iterative solve failed to bracket or converge, or a result lies
+    beyond the float range."""
 
 
 class Point(NamedTuple):
@@ -232,6 +235,27 @@ def _highway_time(a: Point, b: Point, m: MetricParams) -> Optional[float]:
     if gap < 0.0:
         return None
     return (abs(a.y) + abs(b.y)) * m.descent_cost + gap / m.v
+
+
+def _box_in_walking_region(q: Point, u: Point, m: MetricParams) -> bool:
+    """in_walking_region(q, u, m) for the box regimes (p in {1, inf}) and
+    finite points, unchecked.
+
+    The same float expressions as `_highway_time` and `_lp`: the (x, |y|)
+    swap, True on a negative gap, and the direct distance dx + dy (p = 1,
+    where tan(alpha) is 0.0) or max(dx, dy) (p = inf, where it is 1.0).
+    descent_cost is 1.0 in both regimes, so the ride drops its product."""
+    ax, ay, bx, by = q.x, abs(q.y), u.x, abs(u.y)
+    if ax > bx or (ax == bx and ay > by):
+        ax, ay, bx, by = bx, by, ax, ay
+    t = m.tan_alpha
+    gap = (bx - by * t) - (ax + ay * t)
+    if gap < 0.0:
+        return True
+    dx, dy = abs(q.x - u.x), abs(q.y - u.y)
+    if t == 0.0:
+        return dx + dy <= (ay + by) + gap / m.v
+    return (dx if dx >= dy else dy) <= (ay + by) + gap / m.v
 
 
 def _direct_time(a: Point, b: Point, m: MetricParams) -> float:

@@ -12,7 +12,8 @@ settings.load_profile("suite")
 @pytest.fixture
 def counted(monkeypatch):
     """Counts calls made through module bindings: hull_builder's predicates
-    ("walk", "edge"), the frontier's membership predicate ("corner"),
+    ("walk", "edge"), the frontier's membership predicates, convex and box
+    ("corner"),
     metric's curve solve ("curve"), geometry's tangent solves ("tangent"),
     and geometry's brentq calls with the function evaluations they make
     ("brentq", "evals")."""
@@ -30,6 +31,7 @@ def counted(monkeypatch):
     count(hull_builder, "in_walking_region", "walk")
     count(hull_builder, "_point_in_edge_region", "edge")
     count(frontier, "in_walking_region", "corner")
+    count(frontier, "_box_in_walking_region", "corner")
     count(metric, "_curve_generic", "curve")
     count(geometry, "_unit_tangency", "tangent")
     brentq = geometry.brentq

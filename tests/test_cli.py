@@ -86,6 +86,19 @@ def test_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numeric error: tangency beyond float range")
 
 
+def test_hull_beyond_float_range_exits_numeric(tmp_path, capsys):
+    # the p = inf apex of this pair lies above the largest float; build
+    # used to write it as "inf"
+    big = _write(tmp_path, "big.csv", "1e308,1e308\n-1e308,1.5e308\n")
+    out = tmp_path / "o.json"
+    for cmd in ("build", "oracle", "compare"):
+        capsys.readouterr()
+        assert cli.main([cmd, "--p", "inf", "--v", "2", "--input", big, "--output", str(out)]) \
+            == cli.EXIT_NUMERIC, cmd
+        assert "p=inf, v=2.0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_config_errors_precede_io(tmp_path):
     missing = str(tmp_path / "missing.csv")
     out = str(tmp_path / "o")

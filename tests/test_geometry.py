@@ -173,6 +173,24 @@ def test_closure_rejects_straddling_members():
         closure_hull([], MetricParams.make(2.0, 2.0))
 
 
+def test_diamond_closure_near_the_float_maximum():
+    # x + y overflows for these members, but their closures are
+    # representable: the same corners as at 2^-1000 scale, scaled back
+    m = MetricParams.make(INF, 2.0)
+    h = closure_hull([Point(1.7e308, 1e308)], m)
+    assert list(h.upper) == list(h.lower) == [Point(1.7e308, 1e308)] and h.corner_generators == ()
+    pts = [Point(1e308, 0.5e308), Point(1.2e308, 0.6e308), Point(1.1e308, 0.3e308)]
+    s = 2.0**-1000
+    big, small = closure_hull(pts, m), closure_hull([Point(s * x, s * y) for x, y in pts], m)
+    assert len(big.corner_generators) == 4
+    for vs, ws in ((big.upper, small.upper), (big.lower, small.lower),
+                   (big.corner_generators, small.corner_generators)):
+        assert list(vs) == [Point(x / s, y / s) for x, y in ws]
+    # an apex above the largest float is not
+    with pytest.raises(NumericError, match="overflows the float range"):
+        closure_hull([Point(1e308, 1e308), Point(-1e308, 1.5e308)], m)
+
+
 def test_closure_idempotent_on_own_boundary():
     rng = random.Random(31)
     for m in (MetricParams.make(2.0, 2.0), MetricParams.make(1.0, 5.0)):

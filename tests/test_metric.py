@@ -225,6 +225,68 @@ def test_region_boundary_orientation():
     assert not in_walking_region(Point(2.0, y - 1e-6), q, m)
 
 
+def _box_predicate_pairs(rng, m):
+    """(case, corner, arrival) pairs in the unit frame: box corners have
+    |x| < 4, members |x| < 2."""
+    def ulps(x, k):
+        for _ in range(abs(k)):
+            x = math.nextafter(x, math.copysign(INF, k))
+        return x
+
+    def unit():
+        return Point(rng.uniform(-4.0, 4.0), rng.uniform(-2.0, 2.0))
+
+    def dyadic():  # exact ties between walking and riding
+        return Point(rng.randint(-32, 32) / 8.0, rng.randint(-16, 16) / 8.0)
+
+    for _ in range(400):
+        yield "random", unit(), unit()
+        yield "dyadic", dyadic(), dyadic()
+        q = dyadic()
+        # equal x, the corner above the arrival: the (x, |y|) swap
+        yield "swapped", q, Point(q.x, rng.choice((0.0, -0.0, q.y / 2.0, rng.uniform(0.0, abs(q.y)))))
+        yield "swapped", Point(q.x, -q.y), Point(q.x, q.y / 4.0)
+        x0, x1 = rng.choice((0.0, -0.0, q.x)), rng.choice((0.0, -0.0, q.x + rng.randint(-8, 8) / 8.0))
+        for y0 in (0.0, -0.0):
+            yield "zero", Point(x0, y0), Point(x1, rng.choice((0.0, -0.0, q.y)))
+            yield "zero", Point(x1, q.y), Point(x0, y0)
+        yield "identical", q, Point(q.x, q.y)
+        yield "identical", Point(0.0, -0.0), Point(-0.0, 0.0)
+        # heights near 2^-60 at |x| near 4
+        x = rng.choice((-1.0, 1.0)) * (4.0 - rng.randint(0, 64) * 2.0**-50)
+        h = 2.0**-60
+        yield "tiny", Point(x, h * rng.uniform(0.5, 2.0)), Point(x + rng.randint(-4, 4) * h,
+                                                                  h * rng.uniform(-2.0, 2.0))
+        yield "tiny", Point(x, h), Point(x + rng.choice((1.0, 2.0, 3.0)) * h, h)
+        # a few ulps off the region boundary: at p = inf the gap-zero line
+        # x = ax + ya + yb, at p = 1 the run dx = 2 min(ya, yb) / (1 - 1/v)
+        a = unit()
+        a = Point(a.x / 2.0, abs(a.y))
+        yb = rng.choice((rng.uniform(0.0, 2.0), a.y, a.y * rng.uniform(0.5, 1.0))) * rng.choice((1.0, 2.0**-30))
+        if m.closure_kind == "diamond_box":
+            dx = a.y + yb
+        else:
+            dx = 2.0 * min(a.y, yb) / (1.0 - 1.0 / m.v)
+        yield "boundary", a, Point(ulps(a.x + dx, rng.randint(-3, 3)), yb)
+
+
+@pytest.mark.parametrize("p", [1.0, INF])
+@pytest.mark.parametrize("v", helpers.V_GRID + (1.0 + 1e-7,))
+def test_box_predicate_matches_in_walking_region(p, v):
+    # the sweep's unchecked box predicate against the checked reference, on
+    # both argument orders
+    m = MetricParams.make(p, v)
+    verdicts = {}
+    for case, a, b in _box_predicate_pairs(random.Random(7), m):
+        for q, u in ((a, b), (b, a)):
+            want = in_walking_region(q, u, m)
+            assert metric._box_in_walking_region(q, u, m) == want, (case, q, u)
+            verdicts.setdefault(case, set()).add(want)
+    assert verdicts["random"] == verdicts["dyadic"] == verdicts["zero"] == {True, False}
+    assert verdicts["boundary"] == {True, False}
+    assert verdicts["identical"] == {True}
+
+
 # -- shortest paths --------------------------------------------------------------
 
 def test_shortest_path_rides_highway_for_far_pair():
