@@ -4,11 +4,15 @@ Everything runs in one numeric frame.  `build` validates the input once
 and scales it by the power of two 2^-e that puts the largest |coordinate|
 in [1, 2); the result is scaled back by 2^e.  Travel time is
 1-homogeneous, and a power-of-two scaling is exact in floats, so the
-answer is the same at every scale.  Inside the frame every member has
-|x| < 2, so each tolerance (EPS_REGION, the reach slack) is a constant.
-The one limit: a nonzero coordinate more than about 2^1021 below the
-largest becomes subnormal in the frame and loses bits, and points that
-collapse there are reported as duplicates.  A result that does not fit
+answer is the same at every scale.  No decision compares with an
+absolute tolerance: the predicates compare floats directly, the
+edge-region minimizer's error is relative to the edge, and the footprint
+tree's margin is relative to the pair.  The reach slack of `reach_slack`
+is absolute in the frame, where every member has |x| < 2, but it only
+widens a cut, so a cluster far smaller than the frame costs more tests,
+never another verdict.  The one limit: a nonzero coordinate more than
+about 2^1021 below the largest becomes subnormal in the frame and loses
+bits, and points that collapse there are reported as duplicates.  A result that does not fit
 in floats (a p = inf apex above the largest float) raises NumericError
 instead of scaling back to inf.
 
@@ -78,7 +82,12 @@ interval its internal shortest paths ride, and bridges fill the highway
 gaps between consecutive clusters.  The footprint's ends are found by two
 sweeps over the boundary generators sorted by their highway entries, each
 stopping at the first riding pair; a pair whose entries overlap cannot
-ride, so every pair a sweep skips is decided without a predicate call.
+ride, so every pair a sweep skips is decided without a predicate call.  A
+generator with more candidate partners than a few asks a block tree over
+the generators in (x, |y|) order, which skips whole blocks of pairs that
+walk: by that entry cut, or by a convex bound at the block's corners with
+a margin relative to the pair.  So a cluster where nothing rides costs
+about one predicate call per generator, not one per pair.
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ import gc
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat, takewhile
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from scipy.optimize import minimize_scalar
@@ -118,9 +127,6 @@ from .metric import (
     reach_coefficient,
     reach_slack,
 )
-
-# tolerance on direct - highway in edge-region tests (unit frame)
-EPS_REGION = 1e-12
 
 @dataclass
 class Cluster:
@@ -428,8 +434,15 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
     slope meets 1/v, so f(r) > 0 for r > t: opposite-side points walk
     exactly when their entry intervals [x - |y| t, x + |y| t] meet.
     Same-side and highway-crossing edges left over go to a bounded
-    minimizer of direct - highway; EPS_REGION absorbs only its error at
-    the unit frame's scale.
+    minimizer of f = direct - highway over the edge parameter s in [0, 1],
+    split at the kink, and u is in when f <= 0.0 at an end or at the
+    minimizer's answer.  There is no tolerance on f.  `xatol` = 1e-12 acts
+    on s, which has no scale, so the minimizer places the edge point to
+    within about 1e-12 |ab|, and f, Lipschitz in the point with a constant
+    of the metric (2 + c + (1 + t) / v), errs by about that constant times
+    1e-12 |ab|: an error relative to the edge, at every scale.  An
+    absolute tolerance was not: 1e-12 in the unit frame accepted every
+    same-side edge of clusters 2^-560 across beside a unit point.
     """
     if _entries_meet(u, a, b, m.tan_alpha):
         return True
@@ -450,11 +463,11 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
         if 0.0 < s0 < 1.0:
             pieces = [(0.0, s0), (s0, 1.0)]
     for lo, hi in pieces:
-        if f(lo) <= EPS_REGION or f(hi) <= EPS_REGION:
+        if f(lo) <= 0.0 or f(hi) <= 0.0:
             return True
         res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-12})
-        if res.fun <= EPS_REGION:
+        if res.fun <= 0.0:
             return True
     return False
 
@@ -577,7 +590,7 @@ def cross_side_merge(
     partition that testing every pair would give.
     """
     k = reach_coefficient(m)
-    kr, dr = reach_slack(m, EPS_REGION)
+    kr, dr = reach_slack(m)
     comps = [_component(([gi], []), (h, None)) if gi < n_above else _component(([], [gi]), (None, h))
              for gi, h in enumerate(closures)]
     fresh = [True] * len(comps)
@@ -620,6 +633,145 @@ def _entries(gens: List[Point], m: MetricParams) -> Tuple[List[float], List[floa
     return [g.x - abs(g.y) * t for g in gens], [g.x + abs(g.y) * t for g in gens]
 
 
+# a footprint over more generators than this queries a pair-block tree;
+# a block of at most this many is scanned pair by pair
+_PAIR_LEAF = 4
+# the certified bound's margin, relative to the magnitudes of the pair, and
+# its floor, for the absolute error of roundings to subnormal results
+_PAIR_MARGIN = 2.0**-40
+_PAIR_FLOOR = 2.0**-1060
+
+
+class _PairBlocks:
+    """Block tree over one cluster's boundary generators in key order,
+    key = (x, |y|), that tells whether a generator rides with some other
+    generator of a key range.  Each node keeps its block's (x, |y|)
+    bounding box, its least and largest side sign (+1 above, -1 below, 0
+    on the highway), its max L and its min R, computed from the block on
+    first need, as `subpath_hull.HullTree` builds its node hulls.
+
+    Lemma.  Take a and b on one side of the highway with key(a) <= key(b),
+    so bx >= ax, and with t = tan(alpha) and c = lp(t, 1) let
+
+        F(a, b) = lp(bx - ax, | |ay| - |by| |) - (|ay| + |by|) c
+                  - ((bx - |by| t) - (ax + |ay| t)) / v.
+
+    F is a norm of an affine map minus an affine function, so it is convex
+    in b (and in a): its maximum over a box of (bx, |by|) is at one of the
+    box's four corners.  F <= 0 means the pair walks; when the gap
+    L(b) - R(a) is negative the predicate walks anyway, so F <= 0 implies
+    walking in every case.  On one side |ay - by| = | |ay| - |by| |, so F is
+    exactly what `_highway_time` and `_lp` compute for the pair.  A zero y
+    fits either side, so a query point on the highway fits every node.
+
+    A query skips a node whose every pair has a negative gap: max L < R(a)
+    for partners after a, min R > L(b) for partners before b.  That is the
+    sweep's own cut, the same float comparison, so it is exact.  It also
+    skips a node whose points all lie on the query point's side when the
+    float F at each of the node's corners is <= -margin.  Otherwise it
+    descends, far block first; a block of at most `_PAIR_LEAF` generators
+    is scanned with `rides` behind the cut.  So a skipped pair walks as
+    `in_walking_region` decides it, and every other pair is decided by that
+    predicate.
+
+    Margin.  Let u = 2^-53, X the largest |x| and Y the largest |y| of the
+    query point and the node's box, and W = X + Y (1 + t + c).  Every
+    operand of F is at most 2X + Y (the distance), X + Y t (an entry) or
+    2 Y c (the descent), each of its dozen roundings errs by u of its
+    result, and `_lp` by at most 6u of its value.  So the float F at a
+    corner and the predicate's float direct - highway at any pair of the
+    node are each within 26 u W of the exact F.  By convexity a pair in the
+    box has exact F <= (the corners' largest float F) + 26 u W, and its
+    predicate walks when that is <= -26 u W: a margin of 52 u W suffices.
+    `_PAIR_MARGIN` W = 2^13 u W covers it with room to spare, at every
+    scale, since it is relative; `_PAIR_FLOOR` covers the absolute error,
+    under 2^-1069, of roundings to subnormal results.
+    """
+
+    def __init__(self, gens: List[Point], keys: List[Tuple[float, float]],
+                 lefts: List[float], rights: List[float], rides, m: MetricParams):
+        self.keys, self.lefts, self.rights, self.rides, self.m = keys, lefts, rights, rides, m
+        self.signs = [(g.y > 0.0) - (g.y < 0.0) for g in gens]
+        self.order = sorted(range(len(gens)), key=keys.__getitem__)
+        self.sorted_keys = [keys[i] for i in self.order]
+        self._nodes: Dict[int, Tuple[float, ...]] = {}
+
+    def _box(self, lo: int, hi: int) -> Tuple[float, ...]:
+        """(x min, x max, |y| min, |y| max, least sign, largest sign, max L,
+        min R) of the block lo:hi of the key order."""
+        block = self.order[lo:hi]
+        hs = [k[1] for k in self.sorted_keys[lo:hi]]
+        signs = list(map(self.signs.__getitem__, block))
+        return (self.sorted_keys[lo][0], self.sorted_keys[hi - 1][0], min(hs), max(hs),
+                min(signs), max(signs), max(map(self.lefts.__getitem__, block)),
+                min(map(self.rights.__getitem__, block)))
+
+    def any_ride(self, q: int, after: bool) -> bool:
+        """True iff q rides with another generator: when `after`, a b with
+        key(q) <= key(b), q the pair's first member; else an a with
+        key(a) <= key(q), q its second.  Equal keys count in both."""
+        order, lefts, rights, rides, nodes = (
+            self.order, self.lefts, self.rights, self.rides, self._nodes)
+        if after:
+            qs, qe = bisect_left(self.sorted_keys, self.keys[q]), len(order)
+        else:
+            qs, qe = 0, bisect_right(self.sorted_keys, self.keys[q])
+        cut = rights[q] if after else lefts[q]
+        sign = self.signs[q]
+        stack = [(1, 0, len(order))]
+        while stack:
+            node, lo, hi = stack.pop()
+            s, e = max(lo, qs), min(hi, qe)
+            whole = s == lo and e == hi
+            leaf = hi - lo <= _PAIR_LEAF
+            if whole or leaf:
+                if whole:
+                    box = nodes.get(node)
+                    if box is None:
+                        box = nodes[node] = self._box(lo, hi)
+                else:
+                    box = self._box(s, e)
+                xmin, xmax, hmin, hmax, smin, smax, lmax, rmin = box
+                if (lmax < cut) if after else (rmin > cut):
+                    continue
+                if sign * smin >= 0 and sign * smax >= 0 and self._walks(
+                        q, xmin, xmax, hmin, hmax, after):
+                    continue
+            if leaf:
+                for j in order[s:e]:
+                    if ((lefts[j] >= cut and rides(q, j)) if after
+                            else (rights[j] <= cut and rides(j, q))):
+                        return True
+                continue
+            mid = (lo + hi) // 2
+            # the far block is popped first: its pairs are likelier to ride
+            halves = ((lo, mid, 2 * node), (mid, hi, 2 * node + 1))
+            for c_lo, c_hi, child in halves if after else halves[::-1]:
+                if c_lo < qe and qs < c_hi:
+                    stack.append((child, c_lo, c_hi))
+        return False
+
+    def _walks(self, q: int, xmin: float, xmax: float, hmin: float, hmax: float,
+               after: bool) -> bool:
+        """True iff the float F of q's pair with each corner of the box
+        [xmin, xmax] x [hmin, hmax] is <= -margin: then every pair of q
+        with a same-side point of the box walks."""
+        m = self.m
+        t, c, v, p = m.tan_alpha, m.descent_cost, m.v, m.p
+        qx, qh = self.keys[q]
+        w = max(abs(qx), abs(xmin), abs(xmax)) + max(qh, hmax) * (1.0 + t + c)
+        bound = -(_PAIR_MARGIN * w + _PAIR_FLOOR)
+        # the corner farthest from q first
+        for x in (xmax, xmin) if after else (xmin, xmax):
+            for h in (hmin, hmax):
+                ax, ah, bx, bh = (qx, qh, x, h) if after else (x, h, qx, qh)
+                f = _lp(abs(bx - ax), abs(bh - ah), p) - (
+                    (ah + bh) * c + ((bx - bh * t) - (ax + ah * t)) / v)
+                if not f <= bound:
+                    return False
+        return True
+
+
 def _cluster_footprint(
     gens: List[Point], lefts: List[float], rights: List[float], m: MetricParams
 ) -> Optional[Tuple[float, float]]:
@@ -629,17 +781,26 @@ def _cluster_footprint(
     (`in_walking_region` false); None when no pair rides.
 
     Output-sensitive sweep.  `lo` is the R of the first generator a, in
-    ascending R, with a riding partner b; the partners are scanned in
-    descending L and the scan stops at the first L(b) < R(a).  The cut is
-    exact: `highway_time` computes the gap as the same float L(b) - R(a)
-    and returns None (walking) when it is negative, and so does every
-    partner further on.  `hi` is the mirror sweep, in descending L with the
-    partners in ascending R.  Every other pair is decided by the predicate
-    itself, so the result is the pair loop's to the bit; where the loop's
-    max kept the first of a -0.0 / 0.0 tie (both zeros among the L), that
-    tie is resolved in its (a, b) order.  Calls are one per pair with a non-negative gap up to the
-    first riding one: 2 on a 512-point arc, every such pair when nothing
-    rides.
+    ascending R, with a riding partner b.  Only partners with L(b) >= R(a)
+    can ride: `highway_time` computes the gap as the same float
+    L(b) - R(a) and returns None (walking) when it is negative.  So a's
+    candidates are a prefix of the generators in descending L.  At most
+    `_PAIR_LEAF` of them are scanned pair by pair, as a cluster that fits
+    in one leaf always is.  More are asked of the `_PairBlocks` tree, after
+    the likeliest, the first: the tree looks for a riding partner in the
+    key suffix from a, skipping whole blocks of pairs that walk by the cut
+    or by its certified convex bound.  `hi` is the mirror sweep, in
+    descending L, with the candidates in ascending R and the tree's key
+    prefix up to b.  Pairs of equal key, a generator and its mirror image,
+    are candidates in both orders, as in the pair loop.  Every pair not
+    skipped is decided by the predicate itself, so the result is the pair
+    loop's to the bit; where the loop's max kept the first of a -0.0 / 0.0
+    tie (both zeros among the L), that tie is resolved in its (a, b) order.
+
+    Predicate calls on perfbench's 512-point cells (seed 1): 2 on the arc
+    and 14 on the cup at p = 2, v = 2, where pairs ride early; 361 on the
+    cup at p = 1.3, v = 1.1, where nothing rides, against 51,400 for the
+    pair scan, which called it on every pair with a non-negative gap.
     """
     n = len(gens)
     if n < 2:
@@ -651,13 +812,32 @@ def _cluster_footprint(
     def rides(i: int, j: int) -> bool:
         return i != j and keys[i] <= keys[j] and not in_walking_region(gens[i], gens[j], m)
 
-    lo = next((rights[i] for i in by_r
-               if any(rides(i, j) for j in takewhile(lambda j: lefts[j] >= rights[i], by_l))),
-              None)
+    tree: Optional[_PairBlocks] = None
+
+    def blocks() -> _PairBlocks:
+        nonlocal tree
+        if tree is None:
+            tree = _PairBlocks(gens, keys, lefts, rights, rides, m)
+        return tree
+
+    # a's partners with a non-negative gap are by_l[:k], b's are by_r[:k]; a
+    # few are scanned, many go to the tree after the likeliest, the first
+    def after(i: int) -> bool:
+        k = bisect_right(by_l, -rights[i], key=lambda j: -lefts[j])
+        if k <= _PAIR_LEAF:
+            return any(rides(i, j) for j in by_l[:k])
+        return rides(i, by_l[0]) or blocks().any_ride(i, True)
+
+    def before(j: int) -> bool:
+        k = bisect_right(by_r, lefts[j], key=rights.__getitem__)
+        if k <= _PAIR_LEAF:
+            return any(rides(i, j) for i in by_r[:k])
+        return rides(by_r[0], j) or blocks().any_ride(j, False)
+
+    lo = next((rights[i] for i in by_r if after(i)), None)
     if lo is None:
         return None
-    hi = next(lefts[j] for j in by_l
-              if any(rides(i, j) for i in takewhile(lambda i: rights[i] <= lefts[j], by_r)))
+    hi = next(lefts[j] for j in by_l if before(j))
     if hi == 0.0 and len({math.copysign(1.0, x) for x in lefts if x == 0.0}) == 2:
         i, j = min((i, j) for j in range(n) if lefts[j] == 0.0
                    for i in range(n) if rights[i] <= 0.0 and rides(i, j))

@@ -162,28 +162,28 @@ def reach_coefficient(m: MetricParams) -> float:
     return (m.descent_cost - m.tan_alpha / m.v) / (1.0 - 1.0 / m.v)
 
 
-def reach_slack(m: MetricParams, eps: float = 0.0) -> tuple[float, float]:
+def reach_slack(m: MetricParams) -> tuple[float, float]:
     """(kr, dr): the float-sound widening of the reach bound.  A point u with
     u.x outside [min(ax, bx) - R, max(ax, bx) + R], R = kr (|uy| +
     max(|ay|, |by|)) + dr, is in the walking region of no point of segment
-    ab (a == b allowed) as floats decide it, with tolerance eps on
-    direct - highway.
+    ab (a == b allowed) as floats decide it.
 
     Input is in the unit frame of `hull_builder.build`: members have
     |x| < 2, and the box corners built from them |x| < 4.
 
     By the linear-margin lemma of `reach_coefficient` every segment point
     has direct - highway >= (1 - 1/v) (|dx| - K Y); the slack beyond K Y
-    covers eps twice plus the float error of the differences (relative to
-    the heights, absolute from the abscissae of the highway gap, 64 ulps of
-    |x| < 4).  A bare relative slack K Y (1 + 1e-9) is not enough: at
-    v -> 1, rounding links points up to 1e-4 K Y past K Y once |x| is 1e8
-    times the heights.
+    covers the float error of the differences (relative to the heights,
+    absolute from the abscissae of the highway gap, 64 ulps of |x| < 4).
+    dr is absolute in the frame, so it only widens the box of a cluster far
+    smaller than the frame.  A bare relative slack K Y (1 + 1e-9) is not
+    enough: at v -> 1, rounding links points up to 1e-4 K Y past K Y once
+    |x| is 1e8 times the heights.
     """
     w = 1.0 - m.inv_v
     k = reach_coefficient(m)
     kr = k * (1.0 + 1e-9) + 64.0 * FLOAT_EPS * (k + m.descent_cost) / w
-    dr = (2.0 * eps + 256.0 * FLOAT_EPS) / w
+    dr = 256.0 * FLOAT_EPS / w
     return kr, dr
 
 

@@ -1,5 +1,6 @@
-"""Cluster footprints: the sorted entry-point sweep against the plain pair
-loop it replaces, plus a call-count guard on the sweep's early exit."""
+"""Cluster footprints: the sorted entry-point sweep and its pair-block tree
+against the plain pair loop they replace, plus call-count guards on the
+sweep's early exit and on clusters where nothing rides."""
 
 from __future__ import annotations
 
@@ -11,7 +12,15 @@ import pytest
 
 import helpers
 from highwayhull import hull_builder
-from highwayhull.metric import INF, MetricParams, Point, entry_points, highway_time, lp_distance
+from highwayhull.metric import (
+    INF,
+    MetricParams,
+    Point,
+    entry_points,
+    highway_time,
+    in_walking_region,
+    lp_distance,
+)
 
 
 # -- reference: every ordered pair of boundary generators ---------------------
@@ -167,7 +176,121 @@ def test_boundary_footprints_match_all_member_pairs():
     assert compared >= 500
 
 
-# -- call-count guard -------------------------------------------------------------
+# -- clusters beyond one block of the pair tree ---------------------------------
+
+
+def test_large_cups_and_arcs_match_pair_loop_bit_for_bit():
+    # for p in (1, inf) one cluster of 150-300 generators, where the sweeps
+    # query the pair tree; on the cup at p = 1.3, v = 1.1 nothing rides.
+    # The mirrored generator sets put equal keys and mixed-side blocks in
+    # the tree.
+    rng = random.Random(79)
+    large = empty = 0
+    for p in helpers.P_GRID:
+        for v in helpers.V_GRID:
+            m = MetricParams.make(p, v)
+            for family in (_cup, _arc):
+                for cl in hull_builder.build(family(rng, rng.randint(150, 300)), m).clusters:
+                    gens = boundary_of(cl)
+                    want = reference_footprint(gens, m)
+                    assert repr(cl.footprint) == repr(want), (p, v, family.__name__)
+                    large += len(gens) >= 150
+                    empty += len(gens) >= 150 and want is None
+            mirrored = [q for g in _cup(rng, 60) for q in (g, Point(g.x, -g.y))]
+            assert repr(footprint(mirrored, m)) == repr(reference_footprint(mirrored, m))
+    assert large >= 30 and empty >= 1
+
+
+def _boundary_x(h: float, m: MetricParams) -> Tuple[float, float]:
+    """Adjacent floats x0 < x1: (x0, h) walks to (0, h) and (x1, h) rides."""
+    a = Point(0.0, h)
+    lo, hi = 0.0, 1.0
+    while in_walking_region(a, Point(hi, h), m):
+        hi *= 2.0
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return lo, hi
+        if in_walking_region(a, Point(mid, h), m):
+            lo = mid
+        else:
+            hi = mid
+
+
+def _planted_block(rng: random.Random, m: MetricParams, n: int, ride: bool, k: int,
+                   side: float) -> Tuple[List[Point], Point, Point]:
+    """a = (0, h) and b = (bx, h), bx one float either side of the boundary
+    of a's walking region, so F(a, b) is within a few ulps of 0 and the
+    pair rides iff `ride`; n points in [0, 0.9 bx] x [h, 1.05 h] between
+    them; and n + 2 points right of b and higher up, which walk to a.  In
+    key order a, the n points and b fill the first half, so b is the far
+    low corner of the root's first block; and the higher points' larger L
+    puts b behind them in the sweep's partner order.  Scaled by 2^k, on
+    `side` of the highway."""
+    h = rng.uniform(0.5, 2.0)
+    bx = _boundary_x(h, m)[1 if ride else 0]
+    pts = ([Point(0.0, h), Point(bx, h)]
+           + [Point(rng.uniform(0.0, 0.9 * bx), h * rng.uniform(1.0, 1.05)) for _ in range(n)]
+           + [Point(bx * rng.uniform(1.0, 1.1), h * rng.uniform(3.0, 4.0)) for _ in range(n + 2)])
+    rng.shuffle(pts)
+    pts = [Point(math.ldexp(q.x, k), side * math.ldexp(q.y, k)) for q in pts]
+    hk = side * math.ldexp(h, k)
+    return pts, Point(0.0, hk), Point(math.ldexp(bx, k), hk)
+
+
+def test_planted_boundary_pairs_in_large_blocks_match_pair_loop():
+    # a block's certified bound must not skip a pair that rides by an ulp:
+    # with a margin below zero the tree skips the block whose far low
+    # corner is b, at every scale
+    rng = random.Random(80)
+    on_plan = 0
+    for p in helpers.P_GRID:
+        for v in helpers.V_GRID:
+            m = MetricParams.make(p, v)
+            for ride in (True, False):
+                k = rng.choice((-600, -40, 0, 40, 600))
+                gens, a, b = _planted_block(rng, m, rng.randint(20, 40), ride, k,
+                                            rng.choice((-1.0, 1.0)))
+                want = reference_footprint(gens, m)
+                assert repr(footprint(gens, m)) == repr(want), (p, v, ride, k)
+                plan = (entry_points(a, m)[1].x, entry_points(b, m)[0].x) if ride else None
+                on_plan += want == plan
+    assert on_plan >= 45
+
+
+def _fan(rng: random.Random, m: MetricParams, n: int) -> List[Point]:
+    """A point above the highway and n points below at gap L(b) - R(a)
+    exactly 0 from it: each pair is a tie that rounding may tip to ride,
+    and every other pair has a negative gap."""
+    t = m.tan_alpha
+    a = Point(rng.uniform(-10.0, 10.0), rng.uniform(0.0, 5.0))
+    out = [a]
+    while len(out) <= n:
+        h = rng.uniform(0.0, 5.0)
+        b = Point(a.x + a.y * t + h * t, -h)
+        if b.x - h * t == a.x + a.y * t:
+            out.append(b)
+    rng.shuffle(out)
+    return out
+
+
+def test_gap_zero_fans_match_pair_loop():
+    # more partners at gap zero than one block holds, so the tree must hand
+    # a block whose max L equals R(a) to the predicate, not skip it
+    rng = random.Random(81)
+    riding = 0
+    for p in helpers.P_GRID:
+        for v in helpers.V_GRID:
+            m = MetricParams.make(p, v)
+            for _ in range(10):
+                gens = list(dict.fromkeys(_fan(rng, m, 12)))
+                want = reference_footprint(gens, m)
+                assert repr(footprint(gens, m)) == repr(want), (p, v, gens)
+                riding += want is not None
+    assert riding >= 30
+
+
+# -- call-count guards -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("family", [_arc, _cup])
@@ -183,3 +306,22 @@ def test_convex_position_footprints_stop_early(counted, family):
     hull_builder.footprints_and_bridges(tch)
     assert cl.footprint is not None
     assert counted["walk"] <= 4 * h
+
+
+def test_nothing_rides_footprints_stay_near_linear(counted):
+    # a cup at p = 1.3, v = 1.1: one cluster, every point a generator, and
+    # no pair rides, so the sweep must show that every pair walks.  The pair
+    # scan made 46,434 predicate calls at n = 512 and 185,693 at n = 1024;
+    # the tree makes 260 and 476.
+    m = MetricParams.make(1.3, 1.1)
+    calls = {}
+    for n in (512, 1024):
+        tch = hull_builder.build(_cup(random.Random(5), n), m)
+        (cl,) = tch.clusters
+        assert len(boundary_of(cl)) == n
+        counted["walk"] = 0
+        hull_builder.footprints_and_bridges(tch)
+        assert cl.footprint is None
+        calls[n] = counted["walk"]
+    assert 0 < calls[512] <= 2000
+    assert calls[1024] <= 2.6 * calls[512]

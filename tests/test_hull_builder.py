@@ -304,6 +304,22 @@ def test_tiny_strips_match_the_oracle(p, v, n, seeds):
     assert not mismatches
 
 
+@pytest.mark.parametrize("p", [1.3, 2.0, INF])
+def test_tiny_two_sided_strips_match_the_oracle(p):
+    # the point below the highway runs the cross-side join over clusters
+    # 2^-560..2^-800 across; an absolute tolerance of 1e-12 on
+    # direct - highway merged them into one, on 26 (p = 1.3), 28 (p = 2) and
+    # 30 (p = inf) of these seeds.  p = 1 waits for the box metrics' virtual
+    # corners (ROADMAP item 2).
+    m = MetricParams.make(p, 2.0)
+    mismatches = []
+    for seed in range(30):
+        pts = _tiny_strip(seed, 120) + [Point(-3.0, -1.0)]
+        if helpers.build_partition(pts, m) != helpers.canon(oracle.cluster(pts, m).partition):
+            mismatches.append(seed)
+    assert not mismatches
+
+
 @pytest.mark.parametrize("p", [1.3, 2.0])
 def test_tiny_clusters_match_the_oracle(p):
     m = MetricParams.make(p, 2.0)
