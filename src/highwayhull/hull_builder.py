@@ -16,39 +16,47 @@ bits, and points that collapse there are reported as duplicates.  A result that 
 in floats (a p = inf apex above the largest float) raises NumericError
 instead of scaling back to inf.
 
-The input is sorted once, stably, by (below, x, side y): below means
+The input is put in one stable order by (below, x, side y): below means
 y < 0 (y == 0 counts as above), and side y is -y below the highway and y
-elsewhere, so a -0.0 keeps its sign.  Copies are adjacent,
-first copy first, and each distinct point keeps its first copy's floats;
-each side's distinct points are one slice of that order, in the x, y
-order its sweep takes them.  Each side is clustered by one left-to-right
-sweep: an arrival either lands in the right walking region of a live
-cluster, merging the whole suffix from that cluster on, or starts a new
-cluster.  After each merge the newly created boundary (positive-slope
-bridge edges, or the moved box corner for p in {1, inf}) can expose
-region not covered by any older boundary, so those pieces are queried
-against the static point set with the subpath hull structure and every
-hit merges the rightmost pair of clusters; the loop runs until no
+elsewhere, so a -0.0 keeps its sign.  Three stable sorts make it, by side
+y, by x and by below, since floats and bools compare faster than tuples.
+Copies are adjacent, first copy first, and each distinct point keeps its
+first copy's floats; a point and its mirror image across the highway have
+equal side coordinates and stay two points, cut apart at the side
+boundary.  Each side's distinct points are one slice of that order, in the
+x, y order its sweep takes them.  Each side is clustered by one
+left-to-right sweep: an arrival either lands in the right walking region
+of a live cluster, merging the whole suffix from that cluster on, or
+starts a new cluster.  After each merge the newly created boundary
+(positive-slope bridge edges, or the moved box corner for p in {1, inf})
+can expose region not covered by any older boundary, so those pieces are
+queried against the static point set with the subpath hull structure and
+every hit merges the rightmost pair of clusters; the loop runs until no
 exposure hits.  Both merges join adjacent runs, so every swept cluster is
-a run of its side's sorted points: the sweep keeps only its start, and
-its input members are one slice of the sorted input.  Under the box
-metrics a cluster is its four extremes in the frame of
-`metric.box_coords`: an arrival computes its frame coordinates once,
-growth is compare-and-assign, and the right corner, right_x, ymax and
-exposing corner are read off the extremes, with a Point made only for the
-right corner and for an exposing corner that moved.  The frontier decides
-a box cluster by its right corner alone, with the unchecked
-`metric._box_in_walking_region`.
+a run of its side's sorted points: the sweep keeps only its start, and its
+input members are one slice of the sorted input.  Under the box metrics a
+cluster is its four extremes in the frame of `metric.box_coords`: an
+arrival computes its frame coordinates once, growth is compare-and-assign,
+and the right corner, right_x, ymax and exposing corner are read off the
+extremes, with a Point made only for the right corner and for an exposing
+corner that moved.  The frontier decides a box cluster by its right corner
+alone, with the unchecked `metric._box_in_walking_region`.
 
 Each swept cluster's closure is built once, right after the sweeps, from
-its sweep state: a convex closure from its live upper chain and a lower
-chain folded over its run, and a box closure from the four extremes the
-sweep keeps, with no pass over its members.  A box closure is
-`closure_hull` of the run to the bit.  Tied extremes can only be zeros of
-opposite sign, and `closure_hull` keeps the first member in real (x, y)
-order: above the highway that is the sweep's first, in side order; below,
-the mirrored axis box takes a zero x from the lowest point with x == 0,
-and the mirrored diamond extremes are +0.0.
+its sweep state, as an outline in the unit frame (its chain vertices and
+virtual corners) with its boundary generators: a convex closure from its
+live upper chain and a lower chain folded over its run, and a box closure
+read off the four extremes the sweep keeps, with no pass over its members.
+A box closure is `closure_hull` of the run to the bit.  Tied extremes can
+only be zeros of opposite sign, and `closure_hull` keeps the first member
+in real (x, y) order: above the highway that is the sweep's first, in side
+order; below, the mirrored axis box takes a zero x from the lowest point
+with x == 0, and the mirrored diamond extremes are +0.0.  The chains come
+from `push_upper` / `push_lower`, which establish Chain's invariants with
+the same `_cross` its check tests, so the unit frame does not check them:
+the join reads them as unchecked closures, the footprints read the
+generators, and each output closure is built once, from its outline scaled
+exactly by 2^e, through the checking Chain and ClosureHull constructors.
 
 Sides are then joined, starting from those closures.  Two
 components merge when a boundary generator of one walks to a generator
@@ -94,9 +102,10 @@ from __future__ import annotations
 
 import gc
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, compress, islice, repeat
+from operator import ne
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from scipy.optimize import minimize_scalar
@@ -106,12 +115,11 @@ from .frontier import EnvelopeEntry, Frontier
 from .geometry import (
     Chain,
     ClosureHull,
+    _cross,
     closure_hull,
     exposed_boundary_segments,
-    lower_hull,
     push_lower,
     push_upper,
-    upper_hull,
 )
 from .metric import (
     INF,
@@ -329,21 +337,45 @@ class _SideBuilder:
             self.frontier.update(left, 2)
 
 
-def _side_closure(c: _Live, run: Sequence[Point], mirror: bool) -> ClosureHull:
-    """Convex closure hull of one swept cluster: its live upper chain and a
-    lower chain folded over its run of sorted points (side coordinates);
-    `mirror` maps the result back below the highway."""
-    lower: List[Point] = []
-    for p in run:
+# a closure's outline in the unit frame: its upper and lower chain vertices
+# and its virtual corners
+_Outline = Tuple[Tuple[Point, ...], Tuple[Point, ...], Tuple[Point, ...]]
+
+
+def _outline_hull(kind: str, upper: Tuple[Point, ...], lower: Tuple[Point, ...],
+                  corners: Tuple[Point, ...]) -> ClosureHull:
+    """The ClosureHull of a swept cluster's outline, for the join.  Its
+    chains come from `push_upper` / `push_lower`, which establish Chain's
+    invariants with the same `_cross` that Chain checks, so they are made
+    without the check; `build` checks each output closure once, at the
+    caller's scale."""
+    up, lo = object.__new__(Chain), object.__new__(Chain)
+    object.__setattr__(up, "__dict__", {"vertices": upper, "kind": "upper"})
+    object.__setattr__(lo, "__dict__", {"vertices": lower, "kind": "lower"})
+    return ClosureHull(kind, up, lo, corners)
+
+
+def _side_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
+                  kind: str) -> Tuple[_Outline, List[Point]]:
+    """Convex closure outline of one swept cluster, the run pts[s:t] of
+    sorted side points, with its boundary generators: its live upper chain
+    and a lower chain folded over the run; `mirror` maps the result back
+    below the highway, where the two chains trade places."""
+    upper, lower = c.chain, []
+    for p in pts[s:t]:
         push_lower(lower, p)
-    return _map_hull("convex", c.chain, lower, (), 1.0, -1.0 if mirror else 1.0)
+    if mirror:
+        upper, lower = [Point(x, -y) for x, y in lower], [Point(x, -y) for x, y in upper]
+    outline = (tuple(upper), tuple(lower), ())
+    return outline, _generators(*outline)
 
 
 def _box_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
-                 kind: str) -> ClosureHull:
-    """Box closure hull of one swept cluster, the run pts[s:t] of sorted
-    side points, from the sweep's extremes: `closure_hull` of the run's
-    members to the bit, in time logarithmic in the run's length.
+                 kind: str) -> Tuple[_Outline, List[Point]]:
+    """Box closure outline of one swept cluster, the run pts[s:t] of sorted
+    side points, with its boundary generators in `_generators` order, from
+    the sweep's extremes: `closure_hull` of the run's members to the bit,
+    in time logarithmic in the run's length.
 
     Tied extremes keep the first member in real (x, y) order there, and
     the sweep's the first in side order; ties that differ are zeros of
@@ -351,7 +383,18 @@ def _box_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
     mirrored axis box takes a zero x from the run's last point with x == 0
     (the lowest of them), and the mirrored diamond frame is (-t, -s) with
     each zero made +0.0, since fl(x + y) and fl(y - x) are never -0.0 for
-    y < 0.  Virtual corners are the corners no member equals."""
+    y < 0.  Virtual corners are the corners no member equals.
+
+    The chains are read off the corners, as `upper_hull` / `lower_hull`
+    fold them.  An axis box's upper chain is its top corner at each
+    distinct x and its lower chain the bottom one, as the fold resolves x
+    ties.  A diamond has left, bottom, top and right corners L, B, T, R.
+    When L and R are the only corners at their x and B != T, its chains are
+    L T R and L B R, less T or B where the fold drops it.  Rounding is
+    monotone, so it keeps the corners' order, B and T within L and R in x
+    and L and R within B and T in y, and with it the sign of every turn
+    the fold tests but those of L T R, L B R and L B T, which `_cross`
+    decides here as in the fold.  Other diamonds are folded."""
     s0, s1, t0, t1 = c.box
     if mirror:
         if kind == "axis_box":
@@ -362,41 +405,51 @@ def _box_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
                 s1 = pts[t - 1].x
         else:
             s0, s1, t0, t1 = 0.0 - t1, 0.0 - t0, 0.0 - s1, 0.0 - s0
-    corners = sorted({box_point(a, b, kind) for a in (s0, s1) for b in (t0, t1)})
-    sy = -1.0 if mirror else 1.0
+    if kind == "axis_box":
+        ys = (t0,) if t0 == t1 else (t0, t1)
+        corners = [Point(x, y) for x in ((s0,) if s0 == s1 else (s0, s1)) for y in ys]
+        upper, lower = tuple(corners[len(ys) - 1::len(ys)]), tuple(corners[::len(ys)])
+        gens = list(upper + lower) if len(ys) == 2 else list(upper)
+    else:
+        bottom, left, right, top = (box_point(a, b, kind) for a in (s0, s1) for b in (t0, t1))
+        if left.x < bottom.x < right.x and left.x < top.x < right.x and bottom != top:
+            corners = [left, *sorted((bottom, top)), right]
+            # the fold drops B from the upper chain and T from the lower one;
+            # after a zero turn L, B, T it drops the later of the two from
+            # the other chain too
+            turn = bottom.x == top.x or _cross(left, bottom, top) > 0.0
+            upper = ((left, top, right) if (turn or bottom.x < top.x)
+                     and _cross(left, top, right) < 0.0 else (left, right))
+            lower = ((left, bottom, right) if (turn or top.x < bottom.x)
+                     and _cross(left, bottom, right) > 0.0 else (left, right))
+            gens = [*upper, *lower[1:-1]]
+        else:
+            corners = sorted(dict.fromkeys((bottom, left, right, top)))
+            upper, lower = [], []
+            for q in corners:
+                push_upper(upper, q)
+                push_lower(lower, q)
+            upper, lower = tuple(upper), tuple(lower)
+            gens = list(dict.fromkeys(upper + lower))
+    virtual = []
+    for q in corners:
+        key = (q.x, -q.y) if mirror else q
+        i = bisect_left(pts, key, s, t)
+        if not (i < t and pts[i] == key):
+            virtual.append(q)
+    if len(gens) < len(corners):
+        gens += [q for q in virtual if q not in gens]
+    return (upper, lower, tuple(virtual)), gens
 
-    def member(q: Point) -> bool:
-        q = Point(q.x, sy * q.y)
-        i = bisect_left(pts, q, s, t)
-        return i < t and pts[i] == q
 
-    virtual = tuple(q for q in corners if not member(q))
-    return ClosureHull(kind, upper_hull(corners), lower_hull(corners), virtual)
-
-
-def _map_hull(kind: str, upper: Sequence[Point], lower: Sequence[Point],
-              corners: Sequence[Point], sx: float, sy: float) -> ClosureHull:
-    """Closure hull of the chains and virtual corners mapped by
-    (x, y) -> (sx x, sy y), sx > 0; a negative sy mirrors, so the upper and
-    lower chains trade places."""
-    if sy < 0.0:
-        upper, lower = lower, upper
-
-    def f(vs: Sequence[Point]) -> Tuple[Point, ...]:
-        return tuple([Point(sx * x, sy * y) for x, y in vs])
-
-    return ClosureHull(kind, Chain(f(upper), "upper"), Chain(f(lower), "lower"), f(corners))
+def _generators(upper: Sequence[Point], lower: Sequence[Point],
+                corners: Sequence[Point]) -> List[Point]:
+    """The distinct chain vertices and virtual corners of a closure."""
+    return list({(v.x, v.y): v for vs in (upper, lower, corners) for v in vs}.values())
 
 
 def _boundary_generators(h: ClosureHull) -> List[Point]:
-    seen = {}
-    for v in h.upper.vertices:
-        seen[(v.x, v.y)] = v
-    for v in h.lower.vertices:
-        seen[(v.x, v.y)] = v
-    for v in h.corner_generators:
-        seen[(v.x, v.y)] = v
-    return list(seen.values())
+    return _generators(h.upper.vertices, h.lower.vertices, h.corner_generators)
 
 
 def _boundary_edges(h: ClosureHull) -> List[Tuple[Point, Point]]:
@@ -821,17 +874,18 @@ def _cluster_footprint(
         return tree
 
     # a's partners with a non-negative gap are by_l[:k], b's are by_r[:k]; a
-    # few are scanned, many go to the tree after the likeliest, the first
+    # few are scanned, many go to the tree after the likeliest, the first.
+    # A cluster of at most a leaf scans them all, filtered, without a bisect.
     def after(i: int) -> bool:
-        k = bisect_right(by_l, -rights[i], key=lambda j: -lefts[j])
+        k = bisect_right(by_l, -rights[i], key=lambda j: -lefts[j]) if n > _PAIR_LEAF else n
         if k <= _PAIR_LEAF:
-            return any(rides(i, j) for j in by_l[:k])
+            return any(rides(i, j) for j in by_l[:k] if lefts[j] >= rights[i])
         return rides(i, by_l[0]) or blocks().any_ride(i, True)
 
     def before(j: int) -> bool:
-        k = bisect_right(by_r, lefts[j], key=rights.__getitem__)
+        k = bisect_right(by_r, lefts[j], key=rights.__getitem__) if n > _PAIR_LEAF else n
         if k <= _PAIR_LEAF:
-            return any(rides(i, j) for i in by_r[:k])
+            return any(rides(i, j) for i in by_r[:k] if rights[i] <= lefts[j])
         return rides(by_r[0], j) or blocks().any_ride(j, False)
 
     lo = next((rights[i] for i in by_r if after(i)), None)
@@ -845,36 +899,31 @@ def _cluster_footprint(
     return (lo, hi)
 
 
-def footprints_and_bridges(tch: TimeConvexHull) -> TimeConvexHull:
-    """Fill footprints and the highway bridges between consecutive clusters."""
+def footprints_and_bridges(tch: TimeConvexHull,
+                           boundaries: Optional[Sequence[List[Point]]] = None) -> TimeConvexHull:
+    """Fill footprints and the highway bridges between consecutive clusters.
+
+    `boundaries[i]`, when given, is cluster i's boundary generators, each
+    closure's in `_generators` order, above side first, and the closures
+    are not read; without it the generators are read off the closures."""
     m = tch.params
+    if boundaries is None:
+        boundaries = [[g for h in (cl.closure_above, cl.closure_below) if h is not None
+                       for g in _boundary_generators(h)] for cl in tch.clusters]
     anchors: List[Tuple[float, float]] = []
-    for cl in tch.clusters:
-        boundary: List[Point] = []
-        for h in (cl.closure_above, cl.closure_below):
-            if h is not None:
-                boundary.extend(_boundary_generators(h))
+    for cl, boundary in zip(tch.clusters, boundaries):
         lefts, rights = _entries(boundary, m)
         cl.footprint = _cluster_footprint(boundary, lefts, rights, m)
-        if cl.footprint is not None:
-            anchors.append(cl.footprint)
-        else:
-            anchors.append((min(lefts), max(rights)))
-    bridges = []
-    for i in range(len(tch.clusters) - 1):
-        a = anchors[i][1]
-        b = anchors[i + 1][0]
-        if b > a:
-            bridges.append((a, b))
-    tch.bridges = bridges
+        anchors.append(cl.footprint or (min(lefts), max(rights)))
+    tch.bridges = [(a, b) for (_, a), (b, _) in zip(anchors, anchors[1:]) if b > a]
     return tch
 
 
-def _require_scalable(tch: TimeConvexHull, e: int) -> None:
-    """NumericError unless every hull vertex, virtual corner, footprint and
-    bridge of the unit-frame `tch` stays finite when scaled by 2^e."""
-    vals = [c for cl in tch.clusters for h in (cl.closure_above, cl.closure_below) if h is not None
-            for vs in (h.upper.vertices, h.lower.vertices, h.corner_generators) for pt in vs for c in pt]
+def _require_scalable(tch: TimeConvexHull, outlines: Sequence[Optional[_Outline]], e: int) -> None:
+    """NumericError unless every hull vertex and virtual corner of the
+    unit-frame `outlines`, and every footprint and bridge of the unit-frame
+    `tch`, stays finite when scaled by 2^e."""
+    vals = [c for f in outlines if f is not None for vs in f for pt in vs for c in pt]
     vals += [c for cl in tch.clusters if cl.footprint is not None for c in cl.footprint]
     vals += [c for b in tch.bridges for c in b]
     top = max(map(abs, vals))
@@ -891,17 +940,17 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     The input is validated here, once, and scaled by 2^-e into the unit
     frame (largest |coordinate| in [1, 2)); dedup, the sweeps, the join and
     the footprints run there, and the hull vertices, virtual corners,
-    footprints and bridges are scaled back by 2^e.  Exact, up to the
-    subnormal limit of the module docstring.  One stable sort of the input
-    serves the dedup, both sweeps and every cluster's members, each a
-    slice of it.
+    footprints and bridges are scaled back by 2^e, each output closure
+    built and checked once there.  Exact, up to the subnormal limit of the
+    module docstring.  One stable order of the input serves the dedup,
+    both sweeps and every cluster's members, each a slice of it.
 
     The cyclic garbage collector is paused while it runs, and restored as
-    it was.  A build makes O(n) long-lived objects (a sweep state, two
-    closures and a cluster per cluster), which trigger full collections
-    over the whole heap, and almost no reference cycles: about 20 objects
-    per tangent solve of `geometry._unit_tangency`, collected after the
-    build.  On a 32,768-point strip of 8,054 box clusters the collections
+    it was.  A build makes O(n) long-lived objects (a sweep state, an
+    outline, an output closure and a cluster per cluster), which trigger
+    full collections over the whole heap, and almost no reference cycles:
+    about 20 objects per tangent solve of `geometry._unit_tangency`,
+    collected after the build.  On a 32,768-point strip of 8,054 box clusters the collections
     took a fifth of the build.
     """
     enabled = gc.isenabled()
@@ -917,24 +966,33 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     """`build` with the collector paused."""
     xs, ys = coordinates(points)
     e = math.frexp(max(max(map(abs, xs)), max(map(abs, ys))))[1] - 1
+    n = len(xs)
 
-    # one stable sort of the input in the unit frame, by (below, x, side y):
-    # copies are adjacent with the first copy first, and each side's
-    # distinct points follow in the order its sweep takes them
-    keys = [(y < 0.0, x, -y if y < 0.0 else y)
-            for x, y in zip(map(math.ldexp, xs, repeat(-e)), map(math.ldexp, ys, repeat(-e)))]
+    # one stable order of the input in the unit frame, by (below, x, side y),
+    # from stable sorts by side y, by x and by below, whose keys are floats
+    # and bools: faster than one sort by tuples
+    ux = list(map(math.ldexp, xs, repeat(-e)))
+    uy = list(map(math.ldexp, ys, repeat(-e)))
     del xs, ys
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    # distinct point d is order[cuts[d]:cuts[d + 1]], and firsts[d] its
-    # first copy's key; above points sort first
-    cuts = [k for k in range(len(order)) if k == 0 or keys[order[k]] != keys[order[k - 1]]]
-    firsts = [keys[order[k]] for k in cuts]
-    cuts.append(len(order))
-    del keys
-    n_up = bisect_left(firsts, (True,))
-    # side coordinates: below-side points mirrored
-    pts = [Point(x, y) for _, x, y in firsts]
-    del firsts
+    sy = [-y if y < 0.0 else y for y in uy]
+    below = [y < 0.0 for y in uy]
+    order = sorted(range(n), key=sy.__getitem__)
+    order.sort(key=ux.__getitem__)
+    order.sort(key=below.__getitem__)
+    n_split = below.count(False)
+    # Points made as namedtuple's __new__ makes them, without its Python call
+    side = list(map(tuple.__new__, repeat(Point), zip(map(ux.__getitem__, order),
+                                                       map(sy.__getitem__, order))))
+    del ux, uy, sy, below
+    # copies are adjacent with the first copy first: distinct point d is
+    # order[cuts[d]:cuts[d + 1]], its side coordinates its first copy's.  A
+    # cut at the side boundary keeps a point apart from its mirror image.
+    cuts = [0, *compress(range(1, n), map(ne, side, islice(side, 1, None))), n]
+    if 0 < n_split < n and side[n_split] == side[n_split - 1]:
+        insort(cuts, n_split)
+    pts = list(map(side.__getitem__, cuts[:-1]))
+    n_up = bisect_left(cuts, n_split)
+    del side
 
     # per-side sweeps; swept cluster gi, above ones first, is the run
     # runs[gi] of distinct points
@@ -942,45 +1000,54 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     n_above = len(sides[0])
     starts = [c.start for c in sides[0]] + [n_up + c.start for c in sides[1]] + [len(pts)]
     runs = list(zip(starts, starts[1:]))
-    # one closure per swept cluster, from its sweep state, built once for
-    # the join and assembly
+    # one unit-frame closure per swept cluster, from its sweep state, with
+    # its boundary generators, built once for the join and the footprints
     kind = m.closure_kind
-    closures = [_side_closure(c, pts[s:t], s >= n_up) if kind == "convex"
-                else _box_closure(c, pts, s, t, s >= n_up, kind)
-                for c, (s, t) in zip(sides[0] + sides[1], runs)]
+    closure = _side_closure if kind == "convex" else _box_closure
+    outlines, gens = map(list, zip(*[closure(c, pts, s, t, s >= n_up, kind)
+                                   for c, (s, t) in zip(sides[0] + sides[1], runs)]))
 
     if 0 < n_above < len(runs):
-        # the join reads each run's points in the unit frame
-        comps = cross_side_merge(
+        # the join reads each run's points in the unit frame; a side of one
+        # swept cluster keeps its closure, a side of several is built anew
+        joined = cross_side_merge(
             [pts[s:t] if s < n_up else [Point(x, -y) for x, y in pts[s:t]] for s, t in runs],
-            closures, n_above, m)
+            [_outline_hull(kind, *f) for f in outlines], n_above, m)
+        comps = [(gis, *(None if h is None else
+                         (h.upper.vertices, h.lower.vertices, h.corner_generators)
+                         for h in hulls)) for gis, *hulls in joined]
+        # clusters in order of their leftmost member, each run's first point
+        comps.sort(key=lambda comp: min(pts[runs[gi][0]].x for gi in comp[0]))
+        boundaries = [[g for f in fs if f is not None for g in _generators(*f)] for _, *fs in comps]
     else:
-        comps = [([gi], h, None) if gi < n_above else ([gi], None, h)
-                 for gi, h in enumerate(closures)]
-    # clusters in order of their leftmost member, each run's first point
-    comps.sort(key=lambda comp: min(pts[runs[gi][0]].x for gi in comp[0]))
-    clusters = [
-        Cluster(sorted(i for gi in gis for i in order[cuts[runs[gi][0]]:cuts[runs[gi][1]]]),
-                above, below)
-        for gis, above, below in comps
-    ]
+        # one side's runs are in that order already
+        comps = [([gi], f, None) if gi < n_above else ([gi], None, f)
+                 for gi, f in enumerate(outlines)]
+        boundaries = gens
 
-    # free the sweep state before the output is mapped back
-    del sides, closures, pts, order, cuts
-    tch = footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters))
-    # back to the caller's frame, in place.  Frame values stay within
-    # 4 (1 + tan(alpha)): members within 2, box corners within 4, and the
-    # highway entries x +- |y| tan(alpha) of both.  Every value is checked
-    # only where four times that bound, scaled, reaches 2^1024.
+    members = [order[cuts[s]:cuts[t]] for s, t in runs]
+    # each cluster's closures are built below, at the caller's scale
+    clusters = [Cluster(sorted(chain.from_iterable(map(members.__getitem__, gis))), None, None)
+                for gis, _, _ in comps]
+    del sides, gens, members, pts, order, cuts
+    tch = footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters), boundaries)
+    # back to the caller's frame.  Frame values stay within 4 (1 +
+    # tan(alpha)): members within 2, box corners within 4, and the highway
+    # entries x +- |y| tan(alpha) of both.  Every value is checked only
+    # where four times that bound, scaled, reaches 2^1024.
     s = 2.0**e
     if not s * 8.0 * (1.0 + m.tan_alpha) < 2.0**1023:
-        _require_scalable(tch, e)
-    for cl in tch.clusters:
+        _require_scalable(tch, [f for _, *fs in comps for f in fs], e)
+
+    def scaled(vs: Sequence[Point], new=tuple.__new__) -> Tuple[Point, ...]:
+        return tuple([new(Point, (s * x, s * y)) for x, y in vs])
+
+    # each outline scaled exactly, through the checking constructors
+    for cl, (_, *fs) in zip(tch.clusters, comps):
         cl.closure_above, cl.closure_below = (
-            None if h is None else _map_hull(h.kind, h.upper.vertices, h.lower.vertices,
-                                             h.corner_generators, s, s)
-            for h in (cl.closure_above, cl.closure_below)
-        )
+            None if f is None else ClosureHull(kind, Chain(scaled(f[0]), "upper"),
+                                               Chain(scaled(f[1]), "lower"), scaled(f[2]))
+            for f in fs)
         if cl.footprint is not None:
             cl.footprint = (s * cl.footprint[0], s * cl.footprint[1])
     tch.bridges = [(s * a, s * b) for a, b in tch.bridges]

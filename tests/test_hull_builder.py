@@ -9,13 +9,22 @@ import pytest
 
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.geometry import Chain, closure_hull, exposed_boundary_segments, right_edge_tangent
+from highwayhull.geometry import (
+    Chain,
+    ClosureHull,
+    closure_hull,
+    exposed_boundary_segments,
+    lower_hull,
+    right_edge_tangent,
+    upper_hull,
+)
 from highwayhull.metric import (
     INF,
     InvalidInputError,
     MetricParams,
     NumericError,
     Point,
+    box_point,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -42,6 +51,14 @@ def test_single_point_and_duplicates():
             want = [math.copysign(1.0, c) for c in zeros[0]]
             for v in cl.closure.upper.vertices + cl.closure.lower.vertices:
                 assert [math.copysign(1.0, c) for c in v] == want
+    # a point and its mirror image have equal side coordinates (x, |y|) but
+    # are two points, one per side; only the copy of the first collapses
+    for p in (1.0, 2.0, INF):
+        tch = hull_builder.build([Point(5.0, 1.0), Point(5.0, -1.0), Point(5.0, 1.0)],
+                                 MetricParams.make(p, 2.0))
+        assert helpers.canon(c.member_indices for c in tch.clusters) in (((0, 1, 2),), ((0, 2), (1,)))
+        hulls = [h for c in tch.clusters for h in (c.closure_above, c.closure_below) if h is not None]
+        assert sorted(v for h in hulls for v in h.upper.vertices) == [Point(5.0, -1.0), Point(5.0, 1.0)]
 
 
 def test_two_far_singletons_bridge_spans_entry_points():
@@ -257,6 +274,24 @@ def test_p2_strip_tangents_make_no_root_solves(counted):
     assert counted["brentq"] == 0 and counted["curve"] == 0
 
 
+def test_build_checks_each_output_chain_once(monkeypatch):
+    # the unit-frame closures come from push_upper / push_lower and are not
+    # checked; each output closure side checks its two chains once, at the
+    # caller's scale.  Checking the unit-frame closures as well made 4 per side.
+    checks = Counter()
+    post_init = Chain.__post_init__
+
+    def counted_post_init(self):
+        checks[self.kind] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Chain, "__post_init__", counted_post_init)
+    tch = hull_builder.build(_strip(random.Random(22), 4096), MetricParams.make(1.0, INF))
+    sides = sum(h is not None for c in tch.clusters for h in (c.closure_above, c.closure_below))
+    assert sides >= 500
+    assert checks["upper"] == checks["lower"] <= sides, (checks, sides)
+
+
 @pytest.mark.parametrize("p, v", [(INF, 2.0), (1.0, INF)])
 def test_box_strip_corner_tests_stay_linear(counted, p, v):
     # box entries beyond the rounding-widened reach are skipped without a
@@ -438,20 +473,24 @@ def _signed_zero_xs(rng, n):
 
 
 def test_swept_box_closures_equal_closure_hull_of_their_runs(monkeypatch):
-    # each box closure comes from its swept cluster's extremes; it must be
-    # closure_hull of the cluster's run to the bit, zero signs included,
-    # which below the highway takes x ties in the opposite order
+    # each box closure and its boundary generators come from its swept
+    # cluster's extremes; they must be closure_hull of the cluster's run
+    # and its generators to the bit, zero signs included, which below the
+    # highway takes x ties in the opposite order
     box_closure = hull_builder._box_closure
     checked = Counter()
 
     def compared(c, pts, s, t, mirror, kind):
-        got = box_closure(c, pts, s, t, mirror, kind)
+        got, gens = box_closure(c, pts, s, t, mirror, kind)
         run = [Point(x, -y) if mirror else Point(x, y) for x, y in pts[s:t]]
-        assert _hex_hull(got) == _hex_hull(closure_hull(run, m)), (kind, mirror, run)
+        want = closure_hull(run, m)
+        assert _hex_hull(hull_builder._outline_hull(kind, *got)) == _hex_hull(want), (kind, mirror, run)
+        assert ([(q.x.hex(), q.y.hex()) for q in gens]
+                == [(q.x.hex(), q.y.hex()) for q in hull_builder._boundary_generators(want)])
         zeros = {math.copysign(1.0, q.x) for q in run if q.x == 0.0}
         checked["below" if mirror else "above"] += 1
         checked["signed zero ties below"] += mirror and len(zeros) == 2
-        return got
+        return got, gens
 
     monkeypatch.setattr(hull_builder, "_box_closure", compared)
     rng = random.Random(1900)
@@ -474,6 +513,31 @@ def test_swept_box_closures_equal_closure_hull_of_their_runs(monkeypatch):
 
 
 # -- oracle equivalence ---------------------------------------------------------------
+
+def test_diamond_outlines_match_the_fold():
+    # a diamond's chains are read off its four corners, without the fold
+    # of upper_hull / lower_hull; on extremes a few ulps apart, where
+    # rounding puts corners at one x or makes a turn of the fold zero, they
+    # and the generators must still be the fold's to the bit
+    rng = random.Random(2200)
+    c = hull_builder._Live(0)
+    run = [Point(9.0, 9.0)]
+
+    def near(v):
+        return v + rng.randint(-4, 4) * math.ulp(v)
+
+    for _ in range(20000):
+        s, t = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        t = rng.choice((t, s, -s, near(s), near(-s)))
+        c.box = sorted((s, near(s))) + sorted((t, rng.choice((near(t), t + rng.uniform(0.0, 1.0)))))
+        if rng.random() < 0.5:
+            c.box = c.box[2:] + c.box[:2]
+        got, gens = hull_builder._box_closure(c, run, 0, 1, False, "diamond_box")
+        corners = sorted({box_point(a, b, "diamond_box") for a in c.box[:2] for b in c.box[2:]})
+        want = (upper_hull(corners).vertices, lower_hull(corners).vertices, tuple(corners))
+        assert _hex(got) == _hex(want), c.box
+        assert _hex(gens) == _hex(hull_builder._generators(*want)), c.box
+
 
 def test_partition_matches_exhaustive_reference():
     mismatches = []
@@ -585,6 +649,75 @@ def test_build_is_exact_under_power_of_two_scaling():
             s = 2.0**k
             got = hull_builder.build([Point(s * q.x, s * q.y) for q in pts], m)
             assert _document(got) == _document(base, s), (m.p, m.v, k, pts)
+
+
+def _rechecked(h):
+    """h built again through the checking constructors."""
+    return ClosureHull(h.kind, Chain(h.upper.vertices, "upper"), Chain(h.lower.vertices, "lower"),
+                       h.corner_generators)
+
+
+def test_output_closures_pass_the_public_checks():
+    # build trusts the chains it folds in the unit frame and checks each
+    # output closure once, after scaling it back; every closure it returns
+    # must pass Chain's and ClosureHull's checks: on the corpus of
+    # test_cli.py, and on both sides at scales 2^k, where at k = -1040 the
+    # p = inf corners are subnormal
+    closures = 0
+    for i, p in enumerate(helpers.P_GRID):
+        for j, v in enumerate(helpers.V_GRID):
+            m = MetricParams.make(p, v)
+            rng = random.Random(100 * i + j)
+            for _ in range(6):
+                pts = helpers.random_points(rng, rng.randint(2, 48))
+                insts = [pts, [Point(x, abs(y)) for x, y in pts]]
+                if p in (1.0, 1.3, 2.0, INF):
+                    u = helpers.unit_scale(pts)
+                    insts += [[Point(s * x, s * y) for x, y in side]
+                              for side in (insts[1], [Point(x, -abs(y)) for x, y in pts if y != 0.0])
+                              if side for s in (u * 2.0**k for k in (-1040, -1000, -600, 600, 1020))]
+                for inst in insts:
+                    for c in hull_builder.build(inst, m).clusters:
+                        for h in (c.closure_above, c.closure_below):
+                            if h is not None:
+                                assert _rechecked(h) == h
+                                closures += 1
+    assert closures >= 5000, closures
+
+
+def _hex(doc):
+    """doc with every float as hex, so zero signs count."""
+    if isinstance(doc, float):
+        return doc.hex()
+    if isinstance(doc, (list, tuple)):
+        return [_hex(d) for d in doc]
+    return doc
+
+
+@pytest.mark.parametrize("p", [1.0, INF])
+def test_box_builds_scale_to_the_bit(p):
+    # build(2^k P) is 2^k build(P) float for float, zero signs included, on
+    # both sides.  The coordinates are multiples of 2^-34 within 4, so 2^k P
+    # is exact down to k = -1040.  There the p = inf corners, multiples of
+    # 2^-35 in P, are subnormal with a bit more than floats hold, and both
+    # sides round each of them once.
+    rng = random.Random(2222)
+    builds = 0
+    for v in helpers.V_GRID:
+        m = MetricParams.make(p, v)
+        for _ in range(20):
+            pts = [Point(rng.randint(-2**36, 2**36) * 2.0**-34, rng.randint(-2**36, 2**36) * 2.0**-34)
+                   for _ in range(rng.randint(2, 30))]
+            pts += _zero_heavy(rng, rng.randint(0, 6))
+            for side in ([Point(x, y if y == 0.0 else abs(y)) for x, y in pts],
+                         [Point(x, -abs(y)) for x, y in pts if y != 0.0]):
+                base = hull_builder.build(side, m)
+                for k in (-1040, -1030, -330, 330, 1000):
+                    s = 2.0**k
+                    got = hull_builder.build([Point(s * x, s * y) for x, y in side], m)
+                    assert _hex(_document(got)) == _hex(_document(base, s)), (p, v, k, side)
+                    builds += 1
+    assert builds >= 900
 
 
 def test_sweep_floor_is_relative_to_the_coordinates():
