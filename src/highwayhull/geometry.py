@@ -170,6 +170,18 @@ def push_lower(chain: List[Point], q: Point) -> None:
     chain.append(q)
 
 
+def _pushed_hull(kind: str, upper: Tuple[Point, ...], lower: Tuple[Point, ...],
+                 corners: Tuple[Point, ...]) -> ClosureHull:
+    """ClosureHull of chains built by `push_upper` and `push_lower`, made
+    without Chain's check: those steps establish its invariants with the
+    same `_cross` that the check tests.  Sets every field of Chain."""
+    up, lo = object.__new__(Chain), object.__new__(Chain)
+    for c, vertices, side in ((up, upper, "upper"), (lo, lower, "lower")):
+        object.__setattr__(c, "vertices", vertices)
+        object.__setattr__(c, "kind", side)
+    return ClosureHull(kind, up, lo, corners)
+
+
 def upper_hull(points: Sequence[Point]) -> Chain:
     """Upper convex chain of x-sorted points; collinear interiors dropped."""
     if not points:

@@ -46,17 +46,19 @@ Each swept cluster's closure is built once, right after the sweeps, from
 its sweep state, as an outline in the unit frame (its chain vertices and
 virtual corners) with its boundary generators: a convex closure from its
 live upper chain and a lower chain folded over its run, and a box closure
-read off the four extremes the sweep keeps, with no pass over its members.
+from the four extremes the sweep keeps, with no pass over its members (an
+axis box's chains read off its corners, a diamond's folded over them).
 A box closure is `closure_hull` of the run to the bit.  Tied extremes can
 only be zeros of opposite sign, and `closure_hull` keeps the first member
 in real (x, y) order: above the highway that is the sweep's first, in side
 order; below, the mirrored axis box takes a zero x from the lowest point
-with x == 0, and the mirrored diamond extremes are +0.0.  The chains come
-from `push_upper` / `push_lower`, which establish Chain's invariants with
-the same `_cross` its check tests, so the unit frame does not check them:
-the join reads them as unchecked closures, the footprints read the
-generators, and each output closure is built once, from its outline scaled
-exactly by 2^e, through the checking Chain and ClosureHull constructors.
+with x == 0, and the mirrored diamond extremes are +0.0.  The chains are
+what `push_upper` / `push_lower` make, and those establish Chain's
+invariants with the same `_cross` its check tests, so the unit frame does
+not check them: the join reads them as closures from
+`geometry._pushed_hull`, the footprints read the generators, and each
+output closure is built once, from its outline scaled exactly by 2^e,
+through the checking Chain and ClosureHull constructors.
 
 Sides are then joined, starting from those closures.  Two
 components merge when a boundary generator of one walks to a generator
@@ -115,7 +117,7 @@ from .frontier import EnvelopeEntry, Frontier
 from .geometry import (
     Chain,
     ClosureHull,
-    _cross,
+    _pushed_hull,
     closure_hull,
     exposed_boundary_segments,
     push_lower,
@@ -342,19 +344,6 @@ class _SideBuilder:
 _Outline = Tuple[Tuple[Point, ...], Tuple[Point, ...], Tuple[Point, ...]]
 
 
-def _outline_hull(kind: str, upper: Tuple[Point, ...], lower: Tuple[Point, ...],
-                  corners: Tuple[Point, ...]) -> ClosureHull:
-    """The ClosureHull of a swept cluster's outline, for the join.  Its
-    chains come from `push_upper` / `push_lower`, which establish Chain's
-    invariants with the same `_cross` that Chain checks, so they are made
-    without the check; `build` checks each output closure once, at the
-    caller's scale."""
-    up, lo = object.__new__(Chain), object.__new__(Chain)
-    object.__setattr__(up, "__dict__", {"vertices": upper, "kind": "upper"})
-    object.__setattr__(lo, "__dict__", {"vertices": lower, "kind": "lower"})
-    return ClosureHull(kind, up, lo, corners)
-
-
 def _side_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
                   kind: str) -> Tuple[_Outline, List[Point]]:
     """Convex closure outline of one swept cluster, the run pts[s:t] of
@@ -385,16 +374,11 @@ def _box_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
     each zero made +0.0, since fl(x + y) and fl(y - x) are never -0.0 for
     y < 0.  Virtual corners are the corners no member equals.
 
-    The chains are read off the corners, as `upper_hull` / `lower_hull`
-    fold them.  An axis box's upper chain is its top corner at each
-    distinct x and its lower chain the bottom one, as the fold resolves x
-    ties.  A diamond has left, bottom, top and right corners L, B, T, R.
-    When L and R are the only corners at their x and B != T, its chains are
-    L T R and L B R, less T or B where the fold drops it.  Rounding is
-    monotone, so it keeps the corners' order, B and T within L and R in x
-    and L and R within B and T in y, and with it the sign of every turn
-    the fold tests but those of L T R, L B R and L B T, which `_cross`
-    decides here as in the fold.  Other diamonds are folded."""
+    An axis box's chains are read off its corners, as `upper_hull` /
+    `lower_hull` fold them: the upper chain is its top corner at each
+    distinct x and the lower chain the bottom one, as the fold resolves x
+    ties.  A diamond's chains are folded over its at most four sorted
+    corners, whose turns rounding can make zero."""
     s0, s1, t0, t1 = c.box
     if mirror:
         if kind == "axis_box":
@@ -409,37 +393,24 @@ def _box_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
         ys = (t0,) if t0 == t1 else (t0, t1)
         corners = [Point(x, y) for x in ((s0,) if s0 == s1 else (s0, s1)) for y in ys]
         upper, lower = tuple(corners[len(ys) - 1::len(ys)]), tuple(corners[::len(ys)])
-        gens = list(upper + lower) if len(ys) == 2 else list(upper)
     else:
-        bottom, left, right, top = (box_point(a, b, kind) for a in (s0, s1) for b in (t0, t1))
-        if left.x < bottom.x < right.x and left.x < top.x < right.x and bottom != top:
-            corners = [left, *sorted((bottom, top)), right]
-            # the fold drops B from the upper chain and T from the lower one;
-            # after a zero turn L, B, T it drops the later of the two from
-            # the other chain too
-            turn = bottom.x == top.x or _cross(left, bottom, top) > 0.0
-            upper = ((left, top, right) if (turn or bottom.x < top.x)
-                     and _cross(left, top, right) < 0.0 else (left, right))
-            lower = ((left, bottom, right) if (turn or top.x < bottom.x)
-                     and _cross(left, bottom, right) > 0.0 else (left, right))
-            gens = [*upper, *lower[1:-1]]
-        else:
-            corners = sorted(dict.fromkeys((bottom, left, right, top)))
-            upper, lower = [], []
-            for q in corners:
-                push_upper(upper, q)
-                push_lower(lower, q)
-            upper, lower = tuple(upper), tuple(lower)
-            gens = list(dict.fromkeys(upper + lower))
+        corners = sorted({box_point(a, b, kind) for a in (s0, s1) for b in (t0, t1)})
+        upper, lower = [], []
+        for q in corners:
+            push_upper(upper, q)
+            push_lower(lower, q)
+        upper, lower = tuple(upper), tuple(lower)
     virtual = []
     for q in corners:
         key = (q.x, -q.y) if mirror else q
         i = bisect_left(pts, key, s, t)
         if not (i < t and pts[i] == key):
             virtual.append(q)
-    if len(gens) < len(corners):
-        gens += [q for q in virtual if q not in gens]
-    return (upper, lower, tuple(virtual)), gens
+    outline = (upper, lower, tuple(virtual))
+    if kind == "axis_box":
+        # the chains hold every corner, and only a flat box shares them
+        return outline, list(upper if t0 == t1 else upper + lower)
+    return outline, _generators(*outline)
 
 
 def _generators(upper: Sequence[Point], lower: Sequence[Point],
@@ -899,23 +870,33 @@ def _cluster_footprint(
     return (lo, hi)
 
 
-def footprints_and_bridges(tch: TimeConvexHull,
-                           boundaries: Optional[Sequence[List[Point]]] = None) -> TimeConvexHull:
-    """Fill footprints and the highway bridges between consecutive clusters.
+def footprints_and_bridges(tch: TimeConvexHull) -> TimeConvexHull:
+    """Fill footprints and the highway bridges between consecutive clusters."""
+    return _footprints_and_bridges(tch, [
+        [g for h in (cl.closure_above, cl.closure_below) if h is not None
+         for g in _boundary_generators(h)] for cl in tch.clusters])
 
-    `boundaries[i]`, when given, is cluster i's boundary generators, each
-    closure's in `_generators` order, above side first, and the closures
-    are not read; without it the generators are read off the closures."""
+
+def _footprints_and_bridges(tch: TimeConvexHull, boundaries: Sequence[List[Point]]) -> TimeConvexHull:
+    """`footprints_and_bridges`, with cluster i's boundary generators
+    given as `boundaries[i]`, above side first, each closure's in
+    `_generators` order."""
     m = tch.params
-    if boundaries is None:
-        boundaries = [[g for h in (cl.closure_above, cl.closure_below) if h is not None
-                       for g in _boundary_generators(h)] for cl in tch.clusters]
     anchors: List[Tuple[float, float]] = []
     for cl, boundary in zip(tch.clusters, boundaries):
         lefts, rights = _entries(boundary, m)
         cl.footprint = _cluster_footprint(boundary, lefts, rights, m)
-        anchors.append(cl.footprint or (min(lefts), max(rights)))
-    tch.bridges = [(a, b) for (_, a), (b, _) in zip(anchors, anchors[1:]) if b > a]
+        if cl.footprint is not None:
+            anchors.append(cl.footprint)
+        else:
+            anchors.append((min(lefts), max(rights)))
+    bridges = []
+    for i in range(len(tch.clusters) - 1):
+        a = anchors[i][1]
+        b = anchors[i + 1][0]
+        if b > a:
+            bridges.append((a, b))
+    tch.bridges = bridges
     return tch
 
 
@@ -980,9 +961,7 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     order.sort(key=ux.__getitem__)
     order.sort(key=below.__getitem__)
     n_split = below.count(False)
-    # Points made as namedtuple's __new__ makes them, without its Python call
-    side = list(map(tuple.__new__, repeat(Point), zip(map(ux.__getitem__, order),
-                                                       map(sy.__getitem__, order))))
+    side = [Point(ux[i], sy[i]) for i in order]
     del ux, uy, sy, below
     # copies are adjacent with the first copy first: distinct point d is
     # order[cuts[d]:cuts[d + 1]], its side coordinates its first copy's.  A
@@ -1012,7 +991,7 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         # swept cluster keeps its closure, a side of several is built anew
         joined = cross_side_merge(
             [pts[s:t] if s < n_up else [Point(x, -y) for x, y in pts[s:t]] for s, t in runs],
-            [_outline_hull(kind, *f) for f in outlines], n_above, m)
+            [_pushed_hull(kind, *f) for f in outlines], n_above, m)
         comps = [(gis, *(None if h is None else
                          (h.upper.vertices, h.lower.vertices, h.corner_generators)
                          for h in hulls)) for gis, *hulls in joined]
@@ -1030,7 +1009,7 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     clusters = [Cluster(sorted(chain.from_iterable(map(members.__getitem__, gis))), None, None)
                 for gis, _, _ in comps]
     del sides, gens, members, pts, order, cuts
-    tch = footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters), boundaries)
+    tch = _footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters), boundaries)
     # back to the caller's frame.  Frame values stay within 4 (1 +
     # tan(alpha)): members within 2, box corners within 4, and the highway
     # entries x +- |y| tan(alpha) of both.  Every value is checked only
@@ -1039,8 +1018,8 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     if not s * 8.0 * (1.0 + m.tan_alpha) < 2.0**1023:
         _require_scalable(tch, [f for _, *fs in comps for f in fs], e)
 
-    def scaled(vs: Sequence[Point], new=tuple.__new__) -> Tuple[Point, ...]:
-        return tuple([new(Point, (s * x, s * y)) for x, y in vs])
+    def scaled(vs: Sequence[Point]) -> Tuple[Point, ...]:
+        return tuple([Point(s * x, s * y) for x, y in vs])
 
     # each outline scaled exactly, through the checking constructors
     for cl, (_, *fs) in zip(tch.clusters, comps):

@@ -15,7 +15,7 @@ import pytest
 
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.geometry import ClosureHull, closure_hull
+from highwayhull.geometry import ClosureHull, _pushed_hull, closure_hull
 from highwayhull.metric import (
     INF,
     MetricParams,
@@ -168,7 +168,7 @@ def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[Side, 
             starts = [c.start for c in lives] + [len(ids)]
             groups = [[dedup[i] for i in ids[s:t]] for s, t in zip(starts, starts[1:])]
         if lives and m.closure_kind == "convex":
-            out.append([(g, hull_builder._outline_hull(m.closure_kind, *hull_builder._side_closure(
+            out.append([(g, _pushed_hull(m.closure_kind, *hull_builder._side_closure(
                 c, [Point(p.x, abs(p.y)) for p in g], 0, len(g), not above_side, m.closure_kind)[0]))
                         for g, c in zip(groups, lives)])
         else:

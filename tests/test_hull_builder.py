@@ -12,11 +12,10 @@ from highwayhull import hull_builder, oracle
 from highwayhull.geometry import (
     Chain,
     ClosureHull,
+    _pushed_hull,
     closure_hull,
     exposed_boundary_segments,
-    lower_hull,
     right_edge_tangent,
-    upper_hull,
 )
 from highwayhull.metric import (
     INF,
@@ -24,7 +23,6 @@ from highwayhull.metric import (
     MetricParams,
     NumericError,
     Point,
-    box_point,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -484,7 +482,7 @@ def test_swept_box_closures_equal_closure_hull_of_their_runs(monkeypatch):
         got, gens = box_closure(c, pts, s, t, mirror, kind)
         run = [Point(x, -y) if mirror else Point(x, y) for x, y in pts[s:t]]
         want = closure_hull(run, m)
-        assert _hex_hull(hull_builder._outline_hull(kind, *got)) == _hex_hull(want), (kind, mirror, run)
+        assert _hex_hull(_pushed_hull(kind, *got)) == _hex_hull(want), (kind, mirror, run)
         assert ([(q.x.hex(), q.y.hex()) for q in gens]
                 == [(q.x.hex(), q.y.hex()) for q in hull_builder._boundary_generators(want)])
         zeros = {math.copysign(1.0, q.x) for q in run if q.x == 0.0}
@@ -513,31 +511,6 @@ def test_swept_box_closures_equal_closure_hull_of_their_runs(monkeypatch):
 
 
 # -- oracle equivalence ---------------------------------------------------------------
-
-def test_diamond_outlines_match_the_fold():
-    # a diamond's chains are read off its four corners, without the fold
-    # of upper_hull / lower_hull; on extremes a few ulps apart, where
-    # rounding puts corners at one x or makes a turn of the fold zero, they
-    # and the generators must still be the fold's to the bit
-    rng = random.Random(2200)
-    c = hull_builder._Live(0)
-    run = [Point(9.0, 9.0)]
-
-    def near(v):
-        return v + rng.randint(-4, 4) * math.ulp(v)
-
-    for _ in range(20000):
-        s, t = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-        t = rng.choice((t, s, -s, near(s), near(-s)))
-        c.box = sorted((s, near(s))) + sorted((t, rng.choice((near(t), t + rng.uniform(0.0, 1.0)))))
-        if rng.random() < 0.5:
-            c.box = c.box[2:] + c.box[:2]
-        got, gens = hull_builder._box_closure(c, run, 0, 1, False, "diamond_box")
-        corners = sorted({box_point(a, b, "diamond_box") for a in c.box[:2] for b in c.box[2:]})
-        want = (upper_hull(corners).vertices, lower_hull(corners).vertices, tuple(corners))
-        assert _hex(got) == _hex(want), c.box
-        assert _hex(gens) == _hex(hull_builder._generators(*want)), c.box
-
 
 def test_partition_matches_exhaustive_reference():
     mismatches = []
