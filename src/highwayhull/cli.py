@@ -6,9 +6,9 @@ with fixed field order and 12-significant-digit floats so equal results
 serialize to identical bytes.  Exit codes: 0 success, 1 compare found a
 partition diff, 2 invalid configuration, 3 parse error, 4 I/O error, 5 a
 numeric solve that failed or a hull beyond the float range
-(metric.NumericError, e.g. a tangency or a p = inf apex beyond it).  `gen` writes its points at the closed-form tie height
-y0 = eps / 2.  Build timings come from perfbench/run.py, not from this
-front end.
+(metric.NumericError, e.g. a tangency or a p = inf apex beyond it).
+`gen` writes its points at the closed-form tie height y0 = eps / 2.
+Build timings come from perfbench/run.py, not from this front end.
 """
 
 from __future__ import annotations

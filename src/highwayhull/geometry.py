@@ -170,18 +170,6 @@ def push_lower(chain: List[Point], q: Point) -> None:
     chain.append(q)
 
 
-def _pushed_hull(kind: str, upper: Tuple[Point, ...], lower: Tuple[Point, ...],
-                 corners: Tuple[Point, ...]) -> ClosureHull:
-    """ClosureHull of chains built by `push_upper` and `push_lower`, made
-    without Chain's check: those steps establish its invariants with the
-    same `_cross` that the check tests.  Sets every field of Chain."""
-    up, lo = object.__new__(Chain), object.__new__(Chain)
-    for c, vertices, side in ((up, upper, "upper"), (lo, lower, "lower")):
-        object.__setattr__(c, "vertices", vertices)
-        object.__setattr__(c, "kind", side)
-    return ClosureHull(kind, up, lo, corners)
-
-
 def upper_hull(points: Sequence[Point]) -> Chain:
     """Upper convex chain of x-sorted points; collinear interiors dropped."""
     if not points:
@@ -297,11 +285,11 @@ def _unit_tangency(m: MetricParams, pivot_x: float) -> Tuple[float, float, float
     the dual norm (q = p/(p-1)) and is the gradient of |.|_p at u* =
     (-t, 1), so the denominator is a Bregman gap of the p-norm:
     1-homogeneous in u, zero at the asymptote u* and 2 kappa at the entry
-    direction (-t, -1), where r = 1 reaches the entry (-t, 0).  The normal at G + r u is n = g(u) - w,
-    g the gradient of |.|_p, a function of u alone; by Euler's identity
-    u.n is the same gap, so the tangent at u meets the axis at
-    X(u) = (2 kappa + n_y) / n_x, which falls monotonically from -t at the
-    entry to -inf at the asymptote.  The solve is one brentq for
+    direction (-t, -1), where r = 1 reaches the entry (-t, 0).  The normal
+    at G + r u is n = g(u) - w, g the gradient of |.|_p, a function of u
+    alone; by Euler's identity u.n is the same gap, so the tangent at u
+    meets the axis at X(u) = (2 kappa + n_y) / n_x, which falls
+    monotonically from -t at the entry to -inf at the asymptote.  The solve is one brentq for
     X(u) = pivot_x over the direction.
 
     Conditioning.  A far pivot puts the root next to the asymptote, where n

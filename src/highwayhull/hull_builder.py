@@ -55,12 +55,12 @@ order; below, the mirrored axis box takes a zero x from the lowest point
 with x == 0, and the mirrored diamond extremes are +0.0.  The chains are
 what `push_upper` / `push_lower` make, and those establish Chain's
 invariants with the same `_cross` its check tests, so the unit frame does
-not check them: the join reads them as closures from
-`geometry._pushed_hull`, the footprints read the generators, and each
+not check them: the join and the footprints read the outlines, and each
 output closure is built once, from its outline scaled exactly by 2^e,
-through the checking Chain and ClosureHull constructors.
+through the checking Chain and ClosureHull constructors, the only ones
+that make a Chain or a ClosureHull.
 
-Sides are then joined, starting from those closures.  Two
+Sides are then joined, starting from those outlines.  Two
 components merge when a boundary generator of one walks to a generator
 of the other, or lies in the walking region of a closure edge of the
 other.  Each generator pair is decided once; every edge endpoint is a
@@ -78,26 +78,27 @@ rounding-widened reach box of `reach_slack` cuts just the link test's
 pair and edge-region tests; and each round retests only the components
 the previous round changed.  A changed
 component builds each side once: a side one part supplies keeps that
-part's closure (so a side of one swept cluster keeps the sweep's), and a
-side gathered from several is built from its members.  The join hands
-back each component with its closures, and `build` wraps them into
-clusters.  An edge-region test is decided exactly, in every regime, when
-some edge point's highway entries overlap the point's (in) or the edge
-lies wholly on the far side with the entries apart (out, by the cone
-lemma); only same-side and highway-crossing edges are left to a bounded
-minimizer.
+part's outline (so a side of one swept cluster keeps the sweep's), and a
+side gathered from several is the outline of `closure_hull` of its
+members.  The join hands back each component with its outlines, and
+`build` wraps them into clusters.  An edge-region test is decided
+exactly, in every regime, when some edge point's highway entries overlap
+the point's (in) or the edge lies wholly on the far side with the entries
+apart (out, by the cone lemma); only same-side and highway-crossing edges
+are left to a bounded minimizer.
 
 Footprints and bridges come last: a cluster's footprint spans the highway
 interval its internal shortest paths ride, and bridges fill the highway
-gaps between consecutive clusters.  The footprint's ends are found by two
-sweeps over the boundary generators sorted by their highway entries, each
+gaps between consecutive clusters.  The footprint's low end is found by
+one sweep over the boundary generators in ascending right highway entry,
 stopping at the first riding pair; a pair whose entries overlap cannot
-ride, so every pair a sweep skips is decided without a predicate call.  A
-generator with more candidate partners than a few asks a block tree over
-the generators in (x, |y|) order, which skips whole blocks of pairs that
-walk: by that entry cut, or by a convex bound at the block's corners with
-a margin relative to the pair.  So a cluster where nothing rides costs
-about one predicate call per generator, not one per pair.
+ride, so every pair the sweep skips is decided without a predicate call.
+A generator with more candidate partners than a few asks a block tree
+over the generators in (x, |y|) order, which skips whole blocks of pairs
+that walk: by that entry cut, or by a convex bound at the block's corners
+with a margin relative to the pair.  The high end is the same sweep on
+the generators mirrored by x -> -x, negated.  So a cluster where nothing
+rides costs about one predicate call per generator, not one per pair.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ from .frontier import EnvelopeEntry, Frontier
 from .geometry import (
     Chain,
     ClosureHull,
-    _pushed_hull,
     closure_hull,
     exposed_boundary_segments,
     push_lower,
@@ -423,12 +423,6 @@ def _boundary_generators(h: ClosureHull) -> List[Point]:
     return _generators(h.upper.vertices, h.lower.vertices, h.corner_generators)
 
 
-def _boundary_edges(h: ClosureHull) -> List[Tuple[Point, Point]]:
-    """Edges of both chains; none when the members share one x."""
-    up, lo = h.upper.vertices, h.lower.vertices
-    return list(zip(up, up[1:])) + list(zip(lo, lo[1:]))
-
-
 def _entries_meet(u: Point, a: Point, b: Point, t: float) -> bool:
     """True iff the highway entry interval [L, R], L and R = x -+ |y| t, of
     some point of segment ab meets u's.
@@ -498,13 +492,13 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
 
 @dataclass
 class _Component:
-    """One cross-side component: its group indices and closure per side
+    """One cross-side component: its group indices and outline per side
     (above, then below; None for an empty side), and the boundary the link
     test reads: generators, edges with their x-span and height, and the
     generators' x-span and height."""
 
     sides: Tuple[List[int], List[int]]
-    hulls: Tuple[Optional[ClosureHull], Optional[ClosureHull]]
+    outlines: Tuple[Optional[_Outline], Optional[_Outline]]
     gens: List[Point]
     edges: List[Tuple[Point, Point, float, float, float]]
     lo: float
@@ -513,33 +507,38 @@ class _Component:
 
 
 def _component(sides: Tuple[List[int], List[int]],
-               hulls: Tuple[Optional[ClosureHull], Optional[ClosureHull]]) -> _Component:
+               outlines: Tuple[Optional[_Outline], Optional[_Outline]]) -> _Component:
+    """The component of `sides` with their `outlines`; the edges are those
+    of both chains, none when a side's members share one x."""
     gens: List[Point] = []
     edges: List[Tuple[Point, Point, float, float, float]] = []
-    for h in hulls:
-        if h is None:
+    for f in outlines:
+        if f is None:
             continue
-        gens.extend(_boundary_generators(h))
-        for a, b in _boundary_edges(h):
+        gens.extend(_generators(*f))
+        for a, b in chain(zip(f[0], f[0][1:]), zip(f[1], f[1][1:])):
             edges.append((a, b, min(a.x, b.x), max(a.x, b.x), max(abs(a.y), abs(b.y))))
     xs = [p.x for p in gens]
-    return _Component(sides, hulls, gens, edges, min(xs), max(xs), max(abs(p.y) for p in gens))
+    return _Component(sides, outlines, gens, edges, min(xs), max(xs), max(abs(p.y) for p in gens))
 
 
 def _joined(parts: List[_Component], groups: Sequence[List[Point]], m: MetricParams) -> _Component:
     """The union of `parts`.  A side that one part supplies keeps that
-    part's closure; a side gathered from several is built from its
-    members."""
+    part's outline; a side gathered from several is the outline of
+    `closure_hull` of its members."""
     sides: List[List[int]] = []
-    hulls: List[Optional[ClosureHull]] = []
+    outlines: List[Optional[_Outline]] = []
     for s in (0, 1):
         given = [c for c in parts if c.sides[s]]
         sides.append(sorted(gi for c in given for gi in c.sides[s]))
         if len(given) == 1:
-            hulls.append(given[0].hulls[s])
+            outlines.append(given[0].outlines[s])
+        elif given:
+            h = closure_hull([p for gi in sides[s] for p in groups[gi]], m)
+            outlines.append((h.upper.vertices, h.lower.vertices, h.corner_generators))
         else:
-            hulls.append(closure_hull([p for gi in sides[s] for p in groups[gi]], m) if given else None)
-    return _component((sides[0], sides[1]), (hulls[0], hulls[1]))
+            outlines.append(None)
+    return _component((sides[0], sides[1]), (outlines[0], outlines[1]))
 
 
 def _clusters_linked(
@@ -591,15 +590,16 @@ class _UnionFind:
 
 
 def cross_side_merge(
-    groups: Sequence[List[Point]], closures: Sequence[ClosureHull], n_above: int, m: MetricParams
-) -> List[Tuple[List[int], Optional[ClosureHull], Optional[ClosureHull]]]:
+    groups: Sequence[List[Point]], outlines: Sequence[_Outline], n_above: int, m: MetricParams
+) -> List[Tuple[List[int], Optional[_Outline], Optional[_Outline]]]:
     """Union one-sided clusters into mixed components.
 
     `groups[i]` is a swept cluster's member points in the unit frame of
-    `build` and `closures[i]` its closure; groups below index `n_above` lie
-    above the highway, the rest below.  Returns each component as its group
-    indices in increasing order with its above and below closures (None
-    for an empty side), components by their smallest index.
+    `build` and `outlines[i]` its closure's outline, (upper chain vertices,
+    lower chain vertices, virtual corners); groups below index `n_above`
+    lie above the highway, the rest below.  Returns each component as its
+    group indices in increasing order with its above and below outlines
+    (None for an empty side), components by their smallest index.
 
     Components merge until no generator of one walks to a generator of
     another or lies in the walking region of its closure edges (either
@@ -615,8 +615,8 @@ def cross_side_merge(
     """
     k = reach_coefficient(m)
     kr, dr = reach_slack(m)
-    comps = [_component(([gi], []), (h, None)) if gi < n_above else _component(([], [gi]), (None, h))
-             for gi, h in enumerate(closures)]
+    comps = [_component(([gi], []), (f, None)) if gi < n_above else _component(([], [gi]), (None, f))
+             for gi, f in enumerate(outlines)]
     fresh = [True] * len(comps)
     verdicts: Dict[Tuple[Point, Point, Point], bool] = {}
     while len(comps) > 1:
@@ -646,7 +646,7 @@ def cross_side_merge(
             parts.setdefault(uf.find(i), []).append(c)
         comps = [ps[0] if len(ps) == 1 else _joined(ps, groups, m) for ps in parts.values()]
         fresh = [len(ps) > 1 for ps in parts.values()]
-    return [(c.sides[0] + c.sides[1], c.hulls[0], c.hulls[1]) for c in comps]
+    return [(c.sides[0] + c.sides[1], *c.outlines) for c in comps]
 
 
 def _entries(gens: List[Point], m: MetricParams) -> Tuple[List[float], List[float]]:
@@ -668,11 +668,11 @@ _PAIR_FLOOR = 2.0**-1060
 
 class _PairBlocks:
     """Block tree over one cluster's boundary generators in key order,
-    key = (x, |y|), that tells whether a generator rides with some other
-    generator of a key range.  Each node keeps its block's (x, |y|)
+    key = (x, |y|), that tells whether a generator rides with some
+    generator of its key suffix.  Each node keeps its block's (x, |y|)
     bounding box, its least and largest side sign (+1 above, -1 below, 0
-    on the highway), its max L and its min R, computed from the block on
-    first need, as `subpath_hull.HullTree` builds its node hulls.
+    on the highway) and its max L, computed from the block on first need,
+    as `subpath_hull.HullTree` builds its node hulls.
 
     Lemma.  Take a and b on one side of the highway with key(a) <= key(b),
     so bx >= ax, and with t = tan(alpha) and c = lp(t, 1) let
@@ -688,15 +688,14 @@ class _PairBlocks:
     exactly what `_highway_time` and `_lp` compute for the pair.  A zero y
     fits either side, so a query point on the highway fits every node.
 
-    A query skips a node whose every pair has a negative gap: max L < R(a)
-    for partners after a, min R > L(b) for partners before b.  That is the
-    sweep's own cut, the same float comparison, so it is exact.  It also
-    skips a node whose points all lie on the query point's side when the
-    float F at each of the node's corners is <= -margin.  Otherwise it
-    descends, far block first; a block of at most `_PAIR_LEAF` generators
-    is scanned with `rides` behind the cut.  So a skipped pair walks as
-    `in_walking_region` decides it, and every other pair is decided by that
-    predicate.
+    A query from a skips a node whose every pair has a negative gap,
+    max L < R(a).  That is the sweep's own cut, the same float comparison,
+    so it is exact.  It also skips a node whose points all lie on a's side
+    when the float F at each of the node's corners is <= -margin.
+    Otherwise it descends, far block first; a block of at most
+    `_PAIR_LEAF` generators is scanned with `rides` behind the cut.  So a
+    skipped pair walks as `in_walking_region` decides it, and every other
+    pair is decided by that predicate.
 
     Margin.  Let u = 2^-53, X the largest |x| and Y the largest |y| of the
     query point and the node's box, and W = X + Y (1 + t + c).  Every
@@ -721,62 +720,51 @@ class _PairBlocks:
         self._nodes: Dict[int, Tuple[float, ...]] = {}
 
     def _box(self, lo: int, hi: int) -> Tuple[float, ...]:
-        """(x min, x max, |y| min, |y| max, least sign, largest sign, max L,
-        min R) of the block lo:hi of the key order."""
+        """(x min, x max, |y| min, |y| max, least sign, largest sign, max L)
+        of the block lo:hi of the key order."""
         block = self.order[lo:hi]
         hs = [k[1] for k in self.sorted_keys[lo:hi]]
         signs = list(map(self.signs.__getitem__, block))
         return (self.sorted_keys[lo][0], self.sorted_keys[hi - 1][0], min(hs), max(hs),
-                min(signs), max(signs), max(map(self.lefts.__getitem__, block)),
-                min(map(self.rights.__getitem__, block)))
+                min(signs), max(signs), max(map(self.lefts.__getitem__, block)))
 
-    def any_ride(self, q: int, after: bool) -> bool:
-        """True iff q rides with another generator: when `after`, a b with
-        key(q) <= key(b), q the pair's first member; else an a with
-        key(a) <= key(q), q its second.  Equal keys count in both."""
-        order, lefts, rights, rides, nodes = (
-            self.order, self.lefts, self.rights, self.rides, self._nodes)
-        if after:
-            qs, qe = bisect_left(self.sorted_keys, self.keys[q]), len(order)
-        else:
-            qs, qe = 0, bisect_right(self.sorted_keys, self.keys[q])
-        cut = rights[q] if after else lefts[q]
+    def any_ride(self, q: int) -> bool:
+        """True iff q rides with a b with key(q) <= key(b), q the pair's
+        first member; equal keys count."""
+        order, lefts, rides, nodes = self.order, self.lefts, self.rides, self._nodes
+        qs = bisect_left(self.sorted_keys, self.keys[q])
+        cut = self.rights[q]
         sign = self.signs[q]
         stack = [(1, 0, len(order))]
         while stack:
             node, lo, hi = stack.pop()
-            s, e = max(lo, qs), min(hi, qe)
-            whole = s == lo and e == hi
+            s = max(lo, qs)
             leaf = hi - lo <= _PAIR_LEAF
-            if whole or leaf:
-                if whole:
+            if s == lo or leaf:
+                if s == lo:
                     box = nodes.get(node)
                     if box is None:
                         box = nodes[node] = self._box(lo, hi)
                 else:
-                    box = self._box(s, e)
-                xmin, xmax, hmin, hmax, smin, smax, lmax, rmin = box
-                if (lmax < cut) if after else (rmin > cut):
+                    box = self._box(s, hi)
+                xmin, xmax, hmin, hmax, smin, smax, lmax = box
+                if lmax < cut:
                     continue
-                if sign * smin >= 0 and sign * smax >= 0 and self._walks(
-                        q, xmin, xmax, hmin, hmax, after):
+                if sign * smin >= 0 and sign * smax >= 0 and self._walks(q, xmin, xmax, hmin, hmax):
                     continue
             if leaf:
-                for j in order[s:e]:
-                    if ((lefts[j] >= cut and rides(q, j)) if after
-                            else (rights[j] <= cut and rides(j, q))):
+                for j in order[s:hi]:
+                    if lefts[j] >= cut and rides(q, j):
                         return True
                 continue
             mid = (lo + hi) // 2
-            # the far block is popped first: its pairs are likelier to ride
-            halves = ((lo, mid, 2 * node), (mid, hi, 2 * node + 1))
-            for c_lo, c_hi, child in halves if after else halves[::-1]:
-                if c_lo < qe and qs < c_hi:
-                    stack.append((child, c_lo, c_hi))
+            # the far block, popped first, holds the pairs likelier to ride
+            if qs < mid:
+                stack.append((2 * node, lo, mid))
+            stack.append((2 * node + 1, mid, hi))
         return False
 
-    def _walks(self, q: int, xmin: float, xmax: float, hmin: float, hmax: float,
-               after: bool) -> bool:
+    def _walks(self, q: int, xmin: float, xmax: float, hmin: float, hmax: float) -> bool:
         """True iff the float F of q's pair with each corner of the box
         [xmin, xmax] x [hmin, hmax] is <= -margin: then every pair of q
         with a same-side point of the box walks."""
@@ -786,14 +774,52 @@ class _PairBlocks:
         w = max(abs(qx), abs(xmin), abs(xmax)) + max(qh, hmax) * (1.0 + t + c)
         bound = -(_PAIR_MARGIN * w + _PAIR_FLOOR)
         # the corner farthest from q first
-        for x in (xmax, xmin) if after else (xmin, xmax):
+        for x in (xmax, xmin):
             for h in (hmin, hmax):
-                ax, ah, bx, bh = (qx, qh, x, h) if after else (x, h, qx, qh)
-                f = _lp(abs(bx - ax), abs(bh - ah), p) - (
-                    (ah + bh) * c + ((bx - bh * t) - (ax + ah * t)) / v)
+                f = _lp(abs(x - qx), abs(h - qh), p) - (
+                    (qh + h) * c + ((x - h * t) - (qx + qh * t)) / v)
                 if not f <= bound:
                     return False
         return True
+
+
+def _low_end(gens: List[Point], keys: List[Tuple[float, float]], lefts: List[float],
+             rights: List[float], by_r: List[int], by_l: List[int],
+             m: MetricParams) -> Optional[float]:
+    """min R(a) over the riding pairs (a, b) of `gens` with key(a) <=
+    key(b), by `keys`; None when no pair rides.  `by_r` is the generators
+    in ascending R and `by_l` in descending L, both stable sorts.
+
+    Output-sensitive sweep: the answer is the R of the first a in `by_r`
+    with a riding partner b.  Only partners with L(b) >= R(a) can ride:
+    `highway_time` computes the gap as the same float L(b) - R(a) and
+    returns None (walking) when it is negative.  So a's candidates are a
+    prefix of `by_l`.  At most `_PAIR_LEAF` of them are scanned pair by
+    pair, with no bisect when the cluster fits in one leaf.  More are
+    asked of the `_PairBlocks` tree, built on first need, after the
+    likeliest, the first: the tree looks for a riding partner in the key
+    suffix from a, skipping whole blocks of pairs that walk by the cut or
+    by its certified convex bound.  Every pair not skipped is decided by
+    the predicate itself, on `gens`."""
+    n = len(gens)
+
+    def rides(i: int, j: int) -> bool:
+        return i != j and keys[i] <= keys[j] and not in_walking_region(gens[i], gens[j], m)
+
+    tree: Optional[_PairBlocks] = None
+
+    def ridden(i: int) -> bool:
+        nonlocal tree
+        k = bisect_right(by_l, -rights[i], key=lambda j: -lefts[j]) if n > _PAIR_LEAF else n
+        if k <= _PAIR_LEAF:
+            return any(rides(i, j) for j in by_l[:k] if lefts[j] >= rights[i])
+        if rides(i, by_l[0]):
+            return True
+        if tree is None:
+            tree = _PairBlocks(gens, keys, lefts, rights, rides, m)
+        return tree.any_ride(i)
+
+    return next((rights[i] for i in by_r if ridden(i)), None)
 
 
 def _cluster_footprint(
@@ -804,25 +830,22 @@ def _cluster_footprint(
     pair (a, b) with key(a) <= key(b), key = (x, |y|), that does not walk
     (`in_walking_region` false); None when no pair rides.
 
-    Output-sensitive sweep.  `lo` is the R of the first generator a, in
-    ascending R, with a riding partner b.  Only partners with L(b) >= R(a)
-    can ride: `highway_time` computes the gap as the same float
-    L(b) - R(a) and returns None (walking) when it is negative.  So a's
-    candidates are a prefix of the generators in descending L.  At most
-    `_PAIR_LEAF` of them are scanned pair by pair, as a cluster that fits
-    in one leaf always is.  More are asked of the `_PairBlocks` tree, after
-    the likeliest, the first: the tree looks for a riding partner in the
-    key suffix from a, skipping whole blocks of pairs that walk by the cut
-    or by its certified convex bound.  `hi` is the mirror sweep, in
-    descending L, with the candidates in ascending R and the tree's key
-    prefix up to b.  Pairs of equal key, a generator and its mirror image,
-    are candidates in both orders, as in the pair loop.  Every pair not
-    skipped is decided by the predicate itself, so the result is the pair
-    loop's to the bit; where the loop's max kept the first of a -0.0 / 0.0
-    tie (both zeros among the L), that tie is resolved in its (a, b) order.
+    The low end is the sweep of `_low_end`.  The high end is minus the low
+    end of the generators mirrored by x -> -x.  The mirror's entries are
+    L' = -R and R' = -L, negated exactly, and its keys (-x, |y|) reverse
+    every pair of distinct x.  A pair of equal x never rides: its gap,
+    -(|ay| + |by|) t rounded, is never positive, and at a zero gap the ride
+    costs (|ay| + |by|) c >= |dy|, the walk.
+    So the mirror's riding pairs are the riding pairs reversed, and its min
+    R' is -max L.  Its orders by R' and by descending L' are the stable
+    `by_l` and `by_r`, element for element, and it keeps the generators
+    themselves, since `in_walking_region` gives the same float with its
+    arguments swapped.  The result is the pair loop's to the bit; where the
+    loop's max kept the first of a -0.0 / 0.0 tie (both zeros among the L),
+    that tie is resolved in its (a, b) order.
 
     Predicate calls on perfbench's 512-point cells (seed 1): 2 on the arc
-    and 14 on the cup at p = 2, v = 2, where pairs ride early; 361 on the
+    and 12 on the cup at p = 2, v = 2, where pairs ride early; 361 on the
     cup at p = 1.3, v = 1.1, where nothing rides, against 51,400 for the
     pair scan, which called it on every pair with a non-negative gap.
     """
@@ -832,40 +855,15 @@ def _cluster_footprint(
     keys = [(g.x, abs(g.y)) for g in gens]
     by_r = sorted(range(n), key=rights.__getitem__)
     by_l = sorted(range(n), key=lefts.__getitem__, reverse=True)
-
-    def rides(i: int, j: int) -> bool:
-        return i != j and keys[i] <= keys[j] and not in_walking_region(gens[i], gens[j], m)
-
-    tree: Optional[_PairBlocks] = None
-
-    def blocks() -> _PairBlocks:
-        nonlocal tree
-        if tree is None:
-            tree = _PairBlocks(gens, keys, lefts, rights, rides, m)
-        return tree
-
-    # a's partners with a non-negative gap are by_l[:k], b's are by_r[:k]; a
-    # few are scanned, many go to the tree after the likeliest, the first.
-    # A cluster of at most a leaf scans them all, filtered, without a bisect.
-    def after(i: int) -> bool:
-        k = bisect_right(by_l, -rights[i], key=lambda j: -lefts[j]) if n > _PAIR_LEAF else n
-        if k <= _PAIR_LEAF:
-            return any(rides(i, j) for j in by_l[:k] if lefts[j] >= rights[i])
-        return rides(i, by_l[0]) or blocks().any_ride(i, True)
-
-    def before(j: int) -> bool:
-        k = bisect_right(by_r, lefts[j], key=rights.__getitem__) if n > _PAIR_LEAF else n
-        if k <= _PAIR_LEAF:
-            return any(rides(i, j) for i in by_r[:k] if rights[i] <= lefts[j])
-        return rides(by_r[0], j) or blocks().any_ride(j, False)
-
-    lo = next((rights[i] for i in by_r if after(i)), None)
+    lo = _low_end(gens, keys, lefts, rights, by_r, by_l, m)
     if lo is None:
         return None
-    hi = next(lefts[j] for j in by_l if before(j))
+    hi = -_low_end(gens, [(-x, h) for x, h in keys], [-r for r in rights],
+                   [-x for x in lefts], by_l, by_r, m)
     if hi == 0.0 and len({math.copysign(1.0, x) for x in lefts if x == 0.0}) == 2:
-        i, j = min((i, j) for j in range(n) if lefts[j] == 0.0
-                   for i in range(n) if rights[i] <= 0.0 and rides(i, j))
+        i, j = min((i, j) for j in range(n) if lefts[j] == 0.0 for i in range(n)
+                   if i != j and rights[i] <= 0.0 and keys[i] <= keys[j]
+                   and not in_walking_region(gens[i], gens[j], m))
         hi = lefts[j]
     return (lo, hi)
 
@@ -989,12 +987,9 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     if 0 < n_above < len(runs):
         # the join reads each run's points in the unit frame; a side of one
         # swept cluster keeps its closure, a side of several is built anew
-        joined = cross_side_merge(
+        comps = cross_side_merge(
             [pts[s:t] if s < n_up else [Point(x, -y) for x, y in pts[s:t]] for s, t in runs],
-            [_pushed_hull(kind, *f) for f in outlines], n_above, m)
-        comps = [(gis, *(None if h is None else
-                         (h.upper.vertices, h.lower.vertices, h.corner_generators)
-                         for h in hulls)) for gis, *hulls in joined]
+            outlines, n_above, m)
         # clusters in order of their leftmost member, each run's first point
         comps.sort(key=lambda comp: min(pts[runs[gi][0]].x for gi in comp[0]))
         boundaries = [[g for f in fs if f is not None for g in _generators(*f)] for _, *fs in comps]

@@ -15,7 +15,7 @@ import pytest
 
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.geometry import ClosureHull, _pushed_hull, closure_hull
+from highwayhull.geometry import closure_hull
 from highwayhull.metric import (
     INF,
     MetricParams,
@@ -112,7 +112,8 @@ def reference_fixpoint(groups: List[List[Point]], parent: List[int], m: MetricPa
                 if pts:
                     h = closure_hull(pts, m)
                     g.extend(hull_builder._boundary_generators(h))
-                    e.extend(hull_builder._boundary_edges(h))
+                    for vs in (h.upper.vertices, h.lower.vertices):
+                        e.extend(zip(vs, vs[1:]))
             xs = [p.x for p in g]
             bounds[r] = (g, e, min(xs), max(xs), max(abs(p.y) for p in g))
         roots = list(comps)
@@ -137,17 +138,22 @@ def reference_fixpoint(groups: List[List[Point]], parent: List[int], m: MetricPa
 # -- corpus -------------------------------------------------------------------
 
 
-Side = List[Tuple[List[Point], ClosureHull]]
+Side = List[Tuple[List[Point], hull_builder._Outline]]
+
+
+def _outline(h) -> hull_builder._Outline:
+    """A closure hull's outline: its chain vertices and virtual corners."""
+    return h.upper.vertices, h.lower.vertices, h.corner_generators
 
 
 def _with_closures(groups: List[List[Point]], m: MetricParams) -> Side:
-    return [(g, closure_hull(g, m)) for g in groups]
+    return [(g, _outline(closure_hull(g, m))) for g in groups]
 
 
 def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[Side, Side]:
-    """Per-side groups of member points with their closures, as `build`
-    hands them to the join: the sweep's clusters, or singletons.  Points
-    are deduplicated first."""
+    """Per-side groups of member points with their closure outlines, as
+    `build` hands them to the join: the sweep's clusters, or singletons.
+    Points are deduplicated first."""
     dedup = list(dict.fromkeys(pts))
     side_pts = [Point(p.x, abs(p.y)) for p in dedup]
     out = []
@@ -168,12 +174,17 @@ def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[Side, 
             starts = [c.start for c in lives] + [len(ids)]
             groups = [[dedup[i] for i in ids[s:t]] for s, t in zip(starts, starts[1:])]
         if lives and m.closure_kind == "convex":
-            out.append([(g, _pushed_hull(m.closure_kind, *hull_builder._side_closure(
-                c, [Point(p.x, abs(p.y)) for p in g], 0, len(g), not above_side, m.closure_kind)[0]))
+            out.append([(g, hull_builder._side_closure(
+                c, [Point(p.x, abs(p.y)) for p in g], 0, len(g), not above_side, m.closure_kind)[0])
                         for g, c in zip(groups, lives)])
         else:
             out.append(_with_closures(groups, m))
     return out[0], out[1]
+
+
+def _hex_outline(f: hull_builder._Outline) -> Tuple[Tuple[Tuple[str, str], ...], ...]:
+    """Every float of an outline as hex, so zero signs count."""
+    return tuple(tuple((q.x.hex(), q.y.hex()) for q in vs) for vs in f)
 
 
 def _unit(pts: List[Point]) -> List[Point]:
@@ -238,19 +249,21 @@ def test_join_stages_match_all_pairs_reference():
                 if not above or not below:
                     continue
                 groups = [g for g, _ in above + below]
-                closures = [h for _, h in above + below]
+                outlines = [f for _, f in above + below]
                 want1 = reference_member_pairs(groups, len(above), m)
                 want2 = _groups(reference_fixpoint(groups, want1, m))
 
-                got = hull_builder.cross_side_merge(groups, closures, len(above), m)
+                got = hull_builder.cross_side_merge(groups, outlines, len(above), m)
                 assert [gis for gis, _, _ in got] == want2, ("join", m.p, m.v, scale, offset)
-                # each side's closure is that of its members, however built
-                for gis, *hulls in got:
-                    for above_side, h in zip((True, False), hulls):
+                # each side's outline is that of its members' closure, however
+                # built, to the bit
+                for gis, *fs in got:
+                    for above_side, f in zip((True, False), fs):
                         pts = [p for gi in gis if (gi < len(above)) == above_side
                                for p in groups[gi]]
-                        want = closure_hull(pts, m) if pts else None
-                        assert h == want, ("closure", m.p, m.v, scale, offset, gis)
+                        want = _hex_outline(_outline(closure_hull(pts, m))) if pts else None
+                        got_f = None if f is None else _hex_outline(f)
+                        assert got_f == want, ("closure", m.p, m.v, scale, offset, gis)
                 cases += 1
                 member_links += len(groups) - len(_groups(want1))
                 fixpoint_links += len(_groups(want1)) - len(want2)
@@ -268,7 +281,7 @@ def _rows() -> List[Point]:
 def test_rows_join_through_closure_edges(p):
     m = MetricParams.make(p, 2.0)
     above, below = _side_groups(_unit(_rows()), m, sweep=True)
-    gens = [[g for _, h in side for g in hull_builder._boundary_generators(h)]
+    gens = [[g for _, f in side for g in hull_builder._generators(*f)]
             for side in (above, below)]
     assert not any(in_walking_region(a, b, m) for a in gens[0] for b in gens[1])
     members = [[q for g, _ in side for q in g] for side in (above, below)]

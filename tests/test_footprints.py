@@ -290,6 +290,32 @@ def test_gap_zero_fans_match_pair_loop():
     assert riding >= 30
 
 
+def test_mirrored_generators_have_the_negated_footprint():
+    # the sweep finds the high end as minus the low end of the generators
+    # mirrored by x -> -x; that identity must hold for the mirrored points
+    # themselves, with their own entries, by value (recomputed entries can
+    # flip a zero's sign)
+    rng = random.Random(82)
+    sets_seen = riding = 0
+    for p in helpers.P_GRID:
+        for v in helpers.V_GRID:
+            m = MetricParams.make(p, v)
+            sets = []
+            for _ in range(3):
+                sets += [boundary_of(cl) for _, cl in _clusters(rng, m, 40)]
+                sets += [_planted(rng, m), list(dict.fromkeys(_fan(rng, m, 12)))]
+            for gens in sets:
+                got = footprint([Point(-q.x, q.y) for q in gens], m)
+                want = footprint(gens, m)
+                if want is None:
+                    assert got is None, (p, v, gens)
+                else:
+                    assert got == (-want[1], -want[0]), (p, v, gens)
+                    riding += 1
+                sets_seen += 1
+    assert sets_seen >= 1500 and riding >= 600, (sets_seen, riding)
+
+
 # -- call-count guards -----------------------------------------------------------
 
 

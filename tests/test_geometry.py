@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 import helpers
 from highwayhull import geometry, metric
 from highwayhull.geometry import (
-    Chain,
-    ClosureHull,
     QuerySegment,
     closure_hull,
     exposed_boundary_segments,
@@ -61,16 +59,6 @@ def test_hull_chains_collapse_x_ties():
     pts = [Point(0, 0), Point(0, 2), Point(1, 1)]
     assert list(upper_hull(pts)) == [Point(0, 2), Point(1, 1)]
     assert list(lower_hull(pts)) == [Point(0, 0), Point(1, 1)]
-
-
-def test_pushed_hull_is_the_checked_hull():
-    # _pushed_hull skips Chain's check but must set every field as the
-    # checking constructors do: a field it missed fails the comparison
-    pts = [Point(0, 0), Point(1, 2), Point(2, 1), Point(3, 3), Point(4, 0)]
-    up, lo = upper_hull(pts).vertices, lower_hull(pts).vertices
-    want = ClosureHull("convex", Chain(up, "upper"), Chain(lo, "lower"), (pts[2],))
-    got = geometry._pushed_hull("convex", up, lo, (pts[2],))
-    assert got == want and repr(got) == repr(want)
 
 
 def test_hull_rejects_unsorted_input():

@@ -12,7 +12,6 @@ from highwayhull import hull_builder, oracle
 from highwayhull.geometry import (
     Chain,
     ClosureHull,
-    _pushed_hull,
     closure_hull,
     exposed_boundary_segments,
     right_edge_tangent,
@@ -273,21 +272,40 @@ def test_p2_strip_tangents_make_no_root_solves(counted):
 
 
 def test_build_checks_each_output_chain_once(monkeypatch):
-    # the unit-frame closures come from push_upper / push_lower and are not
+    # the unit-frame outlines come from push_upper / push_lower and are not
     # checked; each output closure side checks its two chains once, at the
-    # caller's scale.  Checking the unit-frame closures as well made 4 per side.
+    # caller's scale, and so does each closure_hull call, which the join
+    # makes for a side it gathers from several swept clusters.  Checking
+    # the unit-frame closures as well made 4 per side.
     checks = Counter()
     post_init = Chain.__post_init__
+    hulls = []
+    closure = hull_builder.closure_hull
 
     def counted_post_init(self):
         checks[self.kind] += 1
         post_init(self)
 
+    def counted_closure(members, m):
+        hulls.append(members)
+        return closure(members, m)
+
     monkeypatch.setattr(Chain, "__post_init__", counted_post_init)
-    tch = hull_builder.build(_strip(random.Random(22), 4096), MetricParams.make(1.0, INF))
-    sides = sum(h is not None for c in tch.clusters for h in (c.closure_above, c.closure_below))
-    assert sides >= 500
-    assert checks["upper"] == checks["lower"] <= sides, (checks, sides)
+    monkeypatch.setattr(hull_builder, "closure_hull", counted_closure)
+    # a one-sided strip, and the alternating family of test_cross_side.py,
+    # where mixed clusters form
+    rng = random.Random(1)
+    alternating = [Point(10.0 * i + rng.uniform(-1.0, 1.0), (-1.0) ** i * rng.uniform(1.0, 3.0))
+                   for i in range(256)]
+    for pts, m, least, joined in (
+            (_strip(random.Random(22), 4096), MetricParams.make(1.0, INF), 500, False),
+            (alternating, MetricParams.make(2.0, 1.1), 100, True)):
+        checks.clear()
+        hulls.clear()
+        tch = hull_builder.build(pts, m)
+        sides = sum(h is not None for c in tch.clusters for h in (c.closure_above, c.closure_below))
+        assert sides >= least and bool(hulls) == joined, (sides, len(hulls))
+        assert checks["upper"] == checks["lower"] == sides + len(hulls), (checks, sides, len(hulls))
 
 
 @pytest.mark.parametrize("p, v", [(INF, 2.0), (1.0, INF)])
@@ -449,10 +467,10 @@ def test_one_sided_clusters_are_runs_of_the_sorted_side():
     assert multi >= 1000
 
 
-def _hex_hull(h):
-    """Every float of a closure hull as hex, so zero signs count."""
-    return tuple(tuple((q.x.hex(), q.y.hex()) for q in vs)
-                 for vs in (h.upper.vertices, h.lower.vertices, h.corner_generators))
+def _hex_outline(f):
+    """Every float of an outline (upper chain vertices, lower chain
+    vertices, virtual corners) as hex, so zero signs count."""
+    return tuple(tuple((q.x.hex(), q.y.hex()) for q in vs) for vs in f)
 
 
 def _zero_heavy(rng, n):
@@ -482,7 +500,8 @@ def test_swept_box_closures_equal_closure_hull_of_their_runs(monkeypatch):
         got, gens = box_closure(c, pts, s, t, mirror, kind)
         run = [Point(x, -y) if mirror else Point(x, y) for x, y in pts[s:t]]
         want = closure_hull(run, m)
-        assert _hex_hull(_pushed_hull(kind, *got)) == _hex_hull(want), (kind, mirror, run)
+        assert (_hex_outline(got) == _hex_outline(
+            (want.upper.vertices, want.lower.vertices, want.corner_generators))), (kind, mirror, run)
         assert ([(q.x.hex(), q.y.hex()) for q in gens]
                 == [(q.x.hex(), q.y.hex()) for q in hull_builder._boundary_generators(want)])
         zeros = {math.copysign(1.0, q.x) for q in run if q.x == 0.0}
