@@ -43,11 +43,11 @@ corner that moved.  The frontier decides a box cluster by its right corner
 alone, with the unchecked `metric._box_in_walking_region`.
 
 Each swept cluster's closure is built once, right after the sweeps, from
-its sweep state, as an outline in the unit frame (its chain vertices and
-virtual corners) with its boundary generators: a convex closure from its
-live upper chain and a lower chain folded over its run, and a box closure
-from the four extremes the sweep keeps, with no pass over its members (an
-axis box's chains read off its corners, a diamond's folded over them).
+its sweep state, as a bare outline in the unit frame (its chain vertices
+and virtual corners): a convex closure from its live upper chain and a
+lower chain folded over its run, and a box closure from the four extremes
+the sweep keeps, with no pass over its members (an axis box's chains read
+off its corners, a diamond's folded over them).
 A box closure is `closure_hull` of the run to the bit.  Tied extremes can
 only be zeros of opposite sign, and `closure_hull` keeps the first member
 in real (x, y) order: above the highway that is the sweep's first, in side
@@ -56,9 +56,10 @@ with x == 0, and the mirrored diamond extremes are +0.0.  The chains are
 what `push_upper` / `push_lower` make, and those establish Chain's
 invariants with the same `_cross` its check tests, so the unit frame does
 not check them: the join and the footprints read the outlines, and each
-output closure is built once, from its outline scaled exactly by 2^e,
-through the checking Chain and ClosureHull constructors, the only ones
-that make a Chain or a ClosureHull.
+output cluster is made once, at the caller's scale, with its closures
+built from its outlines scaled exactly by 2^e through the checking Chain
+and ClosureHull constructors, the only ones that make a Chain or a
+ClosureHull.
 
 Sides are then joined, starting from those outlines.  Two
 components merge when a boundary generator of one walks to a generator
@@ -87,12 +88,15 @@ the point's (in) or the edge lies wholly on the far side with the entries
 apart (out, by the cone lemma); only same-side and highway-crossing edges
 are left to a bounded minimizer.
 
-Footprints and bridges come last: a cluster's footprint spans the highway
-interval its internal shortest paths ride, and bridges fill the highway
-gaps between consecutive clusters.  The footprint's low end is found by
-one sweep over the boundary generators in ascending right highway entry,
-stopping at the first riding pair; a pair whose entries overlap cannot
-ride, so every pair the sweep skips is decided without a predicate call.
+Footprints and bridges come last, from `footprints_and_bridges`, which
+`build` calls once, through its module binding, over each output
+cluster's boundary generators (`_generators` of its outlines, made once
+per output cluster): a cluster's footprint spans the highway interval its
+internal shortest paths ride, and bridges fill the highway gaps between
+consecutive clusters.  The footprint's low end is found by one sweep over
+the boundary generators in ascending right highway entry, stopping at the
+first riding pair; a pair whose entries overlap cannot ride, so every
+pair the sweep skips is decided without a predicate call.
 A generator with more candidate partners than a few asks a block tree
 over the generators in (x, |y|) order, which skips whole blocks of pairs
 that walk: by that entry cut, or by a convex bound at the block's corners
@@ -197,7 +201,14 @@ class _SideBuilder:
         self.frontier = Frontier(m)
         self.tree = None
         self.kind = m.closure_kind
-        # the exposing corner: the box's upper left for p = 1, the apex for p = inf
+        # the exposing corner: the box's upper left for p = 1, the apex for p = inf.
+        # The p = inf drain is redundant in exact arithmetic: same-side points
+        # walk iff their entry intervals meet, and the apex's, [-t1, s1], is
+        # the union of its members', so a point it exposes met a member's
+        # when that member arrived.  It stays for the apex's rounding: after
+        # a singleton, a point whose x - y lies within ulps of the
+        # singleton's x + y can be exposed by the apex alone, and without the
+        # drain such partitions leave the oracle's far more often than not.
         self.apex_exposes = self.kind == "diamond_box"
         # p = inf exposure segments start where their line passes this height
         self.y_top = max((pt.y for pt in pts), default=0.0) if self.apex_exposes else None
@@ -345,26 +356,24 @@ _Outline = Tuple[Tuple[Point, ...], Tuple[Point, ...], Tuple[Point, ...]]
 
 
 def _side_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
-                  kind: str) -> Tuple[_Outline, List[Point]]:
+                  kind: str) -> _Outline:
     """Convex closure outline of one swept cluster, the run pts[s:t] of
-    sorted side points, with its boundary generators: its live upper chain
-    and a lower chain folded over the run; `mirror` maps the result back
-    below the highway, where the two chains trade places."""
+    sorted side points: its live upper chain and a lower chain folded over
+    the run; `mirror` maps the result back below the highway, where the
+    two chains trade places."""
     upper, lower = c.chain, []
     for p in pts[s:t]:
         push_lower(lower, p)
     if mirror:
         upper, lower = [Point(x, -y) for x, y in lower], [Point(x, -y) for x, y in upper]
-    outline = (tuple(upper), tuple(lower), ())
-    return outline, _generators(*outline)
+    return (tuple(upper), tuple(lower), ())
 
 
 def _box_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
-                 kind: str) -> Tuple[_Outline, List[Point]]:
+                 kind: str) -> _Outline:
     """Box closure outline of one swept cluster, the run pts[s:t] of sorted
-    side points, with its boundary generators in `_generators` order, from
-    the sweep's extremes: `closure_hull` of the run's members to the bit,
-    in time logarithmic in the run's length.
+    side points, from the sweep's extremes: `closure_hull` of the run's
+    members to the bit, in time logarithmic in the run's length.
 
     Tied extremes keep the first member in real (x, y) order there, and
     the sweep's the first in side order; ties that differ are zeros of
@@ -406,21 +415,16 @@ def _box_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
         i = bisect_left(pts, key, s, t)
         if not (i < t and pts[i] == key):
             virtual.append(q)
-    outline = (upper, lower, tuple(virtual))
-    if kind == "axis_box":
-        # the chains hold every corner, and only a flat box shares them
-        return outline, list(upper if t0 == t1 else upper + lower)
-    return outline, _generators(*outline)
+    return (upper, lower, tuple(virtual))
 
 
 def _generators(upper: Sequence[Point], lower: Sequence[Point],
                 corners: Sequence[Point]) -> List[Point]:
-    """The distinct chain vertices and virtual corners of a closure."""
-    return list({(v.x, v.y): v for vs in (upper, lower, corners) for v in vs}.values())
-
-
-def _boundary_generators(h: ClosureHull) -> List[Point]:
-    return _generators(h.upper.vertices, h.lower.vertices, h.corner_generators)
+    """The distinct chain vertices and virtual corners of a closure, each
+    at its first occurrence.  Equal vertices of one outline are the same
+    floats, zero signs included: a vertex two chains share comes from one
+    member list or one corner set."""
+    return list(dict.fromkeys(chain(upper, lower, corners)))
 
 
 def _entries_meet(u: Point, a: Point, b: Point, t: float) -> bool:
@@ -451,14 +455,18 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
     and f is convex with f(t) = f'(t) = 0, alpha being where the walking
     slope meets 1/v, so f(r) > 0 for r > t: opposite-side points walk
     exactly when their entry intervals [x - |y| t, x + |y| t] meet.
-    Same-side and highway-crossing edges left over go to a bounded
+    Same-side and highway-crossing edges left over go to one bounded
     minimizer of f = direct - highway over the edge parameter s in [0, 1],
-    split at the kink, and u is in when f <= 0.0 at an end or at the
-    minimizer's answer.  There is no tolerance on f.  `xatol` = 1e-12 acts
-    on s, which has no scale, so the minimizer places the edge point to
-    within about 1e-12 |ab|, and f, Lipschitz in the point with a constant
-    of the metric (2 + c + (1 + t) / v), errs by about that constant times
-    1e-12 |ab|: an error relative to the edge, at every scale.  An
+    and u is in when f <= 0.0 at an end or at the minimizer's answer.  No
+    |dx| kink of the highway term lies inside [0, 1]: one needs u.x
+    strictly inside the edge's x-span, and then the entries meet, in floats
+    too, since the left end has L <= its x < u.x <= R(u) and the right end
+    R >= its x > u.x >= L(u).  There is no tolerance on f.  `xatol` =
+    1e-12 acts on s, which has no scale, so the minimizer places the edge
+    point to within about 1e-12 |ab|, and f, Lipschitz in the point with a
+    constant of the metric (2 + c + (1 + t) / v), errs by about that
+    constant times 1e-12 |ab|: an error relative to the edge, at every
+    scale.  An
     absolute tolerance was not: 1e-12 in the unit frame accepted every
     same-side edge of clusters 2^-560 across beside a unit point.
     """
@@ -474,20 +482,10 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
             return -INF
         return _lp(abs(p.x - u.x), abs(p.y - u.y), m.p) - hw
 
-    # |dx| kinks the highway term; each side of the kink is convex
-    pieces = [(0.0, 1.0)]
-    if b.x != a.x:
-        s0 = (u.x - a.x) / (b.x - a.x)
-        if 0.0 < s0 < 1.0:
-            pieces = [(0.0, s0), (s0, 1.0)]
-    for lo, hi in pieces:
-        if f(lo) <= 0.0 or f(hi) <= 0.0:
-            return True
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12})
-        if res.fun <= 0.0:
-            return True
-    return False
+    if f(0.0) <= 0.0 or f(1.0) <= 0.0:
+        return True
+    return minimize_scalar(f, bounds=(0.0, 1.0), method="bounded",
+                           options={"xatol": 1e-12}).fun <= 0.0
 
 
 @dataclass
@@ -868,46 +866,36 @@ def _cluster_footprint(
     return (lo, hi)
 
 
-def footprints_and_bridges(tch: TimeConvexHull) -> TimeConvexHull:
-    """Fill footprints and the highway bridges between consecutive clusters."""
-    return _footprints_and_bridges(tch, [
-        [g for h in (cl.closure_above, cl.closure_below) if h is not None
-         for g in _boundary_generators(h)] for cl in tch.clusters])
-
-
-def _footprints_and_bridges(tch: TimeConvexHull, boundaries: Sequence[List[Point]]) -> TimeConvexHull:
-    """`footprints_and_bridges`, with cluster i's boundary generators
-    given as `boundaries[i]`, above side first, each closure's in
-    `_generators` order."""
-    m = tch.params
+def footprints_and_bridges(
+    boundaries: Sequence[List[Point]], m: MetricParams
+) -> Tuple[List[Optional[Tuple[float, float]]], List[Tuple[float, float]]]:
+    """Each cluster's footprint, None where no pair rides, and the highway
+    bridges between consecutive clusters, given each cluster's boundary
+    generators in cluster order (`_generators` of its closures, above side
+    first).  A bridge spans a positive gap between one cluster's anchor and
+    the next one's: its footprint, or else its generators' entry span."""
+    footprints: List[Optional[Tuple[float, float]]] = []
     anchors: List[Tuple[float, float]] = []
-    for cl, boundary in zip(tch.clusters, boundaries):
+    for boundary in boundaries:
         lefts, rights = _entries(boundary, m)
-        cl.footprint = _cluster_footprint(boundary, lefts, rights, m)
-        if cl.footprint is not None:
-            anchors.append(cl.footprint)
-        else:
-            anchors.append((min(lefts), max(rights)))
-    bridges = []
-    for i in range(len(tch.clusters) - 1):
-        a = anchors[i][1]
-        b = anchors[i + 1][0]
-        if b > a:
-            bridges.append((a, b))
-    tch.bridges = bridges
-    return tch
+        fp = _cluster_footprint(boundary, lefts, rights, m)
+        footprints.append(fp)
+        anchors.append((min(lefts), max(rights)) if fp is None else fp)
+    bridges = [(a, b) for (_, a), (b, _) in zip(anchors, anchors[1:]) if b > a]
+    return footprints, bridges
 
 
-def _require_scalable(tch: TimeConvexHull, outlines: Sequence[Optional[_Outline]], e: int) -> None:
+def _require_scalable(outlines: Sequence[Optional[_Outline]],
+                      footprints: Sequence[Optional[Tuple[float, float]]],
+                      bridges: Sequence[Tuple[float, float]], e: int, m: MetricParams) -> None:
     """NumericError unless every hull vertex and virtual corner of the
-    unit-frame `outlines`, and every footprint and bridge of the unit-frame
-    `tch`, stays finite when scaled by 2^e."""
+    unit-frame `outlines`, and every unit-frame footprint and bridge, stays
+    finite when scaled by 2^e."""
     vals = [c for f in outlines if f is not None for vs in f for pt in vs for c in pt]
-    vals += [c for cl in tch.clusters if cl.footprint is not None for c in cl.footprint]
-    vals += [c for b in tch.bridges for c in b]
+    vals += [c for fp in footprints if fp is not None for c in fp]
+    vals += [c for b in bridges for c in b]
     top = max(map(abs, vals))
     if math.isinf(top * 2.0**e):
-        m = tch.params
         raise NumericError(
             "the hull at p=%r, v=%r overflows the float range: a unit-frame value %r "
             "scaled back by 2^%d" % (m.p, m.v, top, e))
@@ -918,19 +906,20 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
 
     The input is validated here, once, and scaled by 2^-e into the unit
     frame (largest |coordinate| in [1, 2)); dedup, the sweeps, the join and
-    the footprints run there, and the hull vertices, virtual corners,
-    footprints and bridges are scaled back by 2^e, each output closure
-    built and checked once there.  Exact, up to the subnormal limit of the
-    module docstring.  One stable order of the input serves the dedup,
-    both sweeps and every cluster's members, each a slice of it.
+    `footprints_and_bridges` run there, and the hull vertices, virtual
+    corners, footprints and bridges are scaled back by 2^e, where each
+    Cluster is made once, its closures built and checked once.  Exact, up
+    to the subnormal limit of the module docstring.  One stable order of
+    the input serves the dedup, both sweeps and every cluster's members,
+    each a slice of it.
 
     The cyclic garbage collector is paused while it runs, and restored as
     it was.  A build makes O(n) long-lived objects (a sweep state, an
     outline, an output closure and a cluster per cluster), which trigger
     full collections over the whole heap, and almost no reference cycles:
     about 20 objects per tangent solve of `geometry._unit_tangency`,
-    collected after the build.  On a 32,768-point strip of 8,054 box clusters the collections
-    took a fifth of the build.
+    collected after the build.  On a 32,768-point strip of 8,054 box
+    clusters the collections took a fifth of the build.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -977,12 +966,11 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     n_above = len(sides[0])
     starts = [c.start for c in sides[0]] + [n_up + c.start for c in sides[1]] + [len(pts)]
     runs = list(zip(starts, starts[1:]))
-    # one unit-frame closure per swept cluster, from its sweep state, with
-    # its boundary generators, built once for the join and the footprints
+    # one unit-frame closure outline per swept cluster, from its sweep state
     kind = m.closure_kind
     closure = _side_closure if kind == "convex" else _box_closure
-    outlines, gens = map(list, zip(*[closure(c, pts, s, t, s >= n_up, kind)
-                                   for c, (s, t) in zip(sides[0] + sides[1], runs)]))
+    outlines = [closure(c, pts, s, t, s >= n_up, kind)
+                for c, (s, t) in zip(sides[0] + sides[1], runs)]
 
     if 0 < n_above < len(runs):
         # the join reads each run's points in the unit frame; a side of one
@@ -992,37 +980,32 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
             outlines, n_above, m)
         # clusters in order of their leftmost member, each run's first point
         comps.sort(key=lambda comp: min(pts[runs[gi][0]].x for gi in comp[0]))
-        boundaries = [[g for f in fs if f is not None for g in _generators(*f)] for _, *fs in comps]
     else:
         # one side's runs are in that order already
         comps = [([gi], f, None) if gi < n_above else ([gi], None, f)
                  for gi, f in enumerate(outlines)]
-        boundaries = gens
 
     members = [order[cuts[s]:cuts[t]] for s, t in runs]
-    # each cluster's closures are built below, at the caller's scale
-    clusters = [Cluster(sorted(chain.from_iterable(map(members.__getitem__, gis))), None, None)
-                for gis, _, _ in comps]
-    del sides, gens, members, pts, order, cuts
-    tch = _footprints_and_bridges(TimeConvexHull(params=m, clusters=clusters), boundaries)
+    del sides, outlines, pts, order, cuts
+    footprints, bridges = footprints_and_bridges(
+        [[g for f in fs if f is not None for g in _generators(*f)] for _, *fs in comps], m)
     # back to the caller's frame.  Frame values stay within 4 (1 +
     # tan(alpha)): members within 2, box corners within 4, and the highway
     # entries x +- |y| tan(alpha) of both.  Every value is checked only
     # where four times that bound, scaled, reaches 2^1024.
     s = 2.0**e
     if not s * 8.0 * (1.0 + m.tan_alpha) < 2.0**1023:
-        _require_scalable(tch, [f for _, *fs in comps for f in fs], e)
+        _require_scalable([f for _, *fs in comps for f in fs], footprints, bridges, e, m)
 
-    def scaled(vs: Sequence[Point]) -> Tuple[Point, ...]:
-        return tuple([Point(s * x, s * y) for x, y in vs])
+    def scaled_closure(f: Optional[_Outline]) -> Optional[ClosureHull]:
+        """The outline scaled exactly, through the checking constructors."""
+        if f is None:
+            return None
+        upper, lower, corners = (tuple([Point(s * x, s * y) for x, y in vs]) for vs in f)
+        return ClosureHull(kind, Chain(upper, "upper"), Chain(lower, "lower"), corners)
 
-    # each outline scaled exactly, through the checking constructors
-    for cl, (_, *fs) in zip(tch.clusters, comps):
-        cl.closure_above, cl.closure_below = (
-            None if f is None else ClosureHull(kind, Chain(scaled(f[0]), "upper"),
-                                               Chain(scaled(f[1]), "lower"), scaled(f[2]))
-            for f in fs)
-        if cl.footprint is not None:
-            cl.footprint = (s * cl.footprint[0], s * cl.footprint[1])
-    tch.bridges = [(s * a, s * b) for a, b in tch.bridges]
-    return tch
+    clusters = [Cluster(sorted(chain.from_iterable(map(members.__getitem__, gis))),
+                        scaled_closure(above), scaled_closure(below),
+                        None if fp is None else (s * fp[0], s * fp[1]))
+                for (gis, above, below), fp in zip(comps, footprints)]
+    return TimeConvexHull(m, clusters, [(s * a, s * b) for a, b in bridges])

@@ -12,6 +12,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from highwayhull import hull_builder, oracle
@@ -111,7 +113,7 @@ def reference_fixpoint(groups: List[List[Point]], parent: List[int], m: MetricPa
                 pts = [p for gi in gis for p in groups[gi] if (p.y >= 0.0) == above_side]
                 if pts:
                     h = closure_hull(pts, m)
-                    g.extend(hull_builder._boundary_generators(h))
+                    g.extend(hull_builder._generators(*_outline(h)))
                     for vs in (h.upper.vertices, h.lower.vertices):
                         e.extend(zip(vs, vs[1:]))
             xs = [p.x for p in g]
@@ -175,7 +177,7 @@ def _side_groups(pts: List[Point], m: MetricParams, sweep: bool) -> Tuple[Side, 
             groups = [[dedup[i] for i in ids[s:t]] for s, t in zip(starts, starts[1:])]
         if lives and m.closure_kind == "convex":
             out.append([(g, hull_builder._side_closure(
-                c, [Point(p.x, abs(p.y)) for p in g], 0, len(g), not above_side, m.closure_kind)[0])
+                c, [Point(p.x, abs(p.y)) for p in g], 0, len(g), not above_side, m.closure_kind))
                         for g, c in zip(groups, lives)])
         else:
             out.append(_with_closures(groups, m))
@@ -408,6 +410,26 @@ def test_entry_overlap_on_highway_crossing_edges_matches_exact_scan():
                 else:
                     found["none"] += 1
     assert min(found.values()) >= 50, found
+
+
+# edge-region regimes, and coordinates with both zeros and subnormals
+_REGIMES = [(p, v) for p in helpers.P_GRID for v in helpers.V_GRID]
+_coord = st.one_of(st.floats(-4.0, 4.0),
+                   st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022))))
+
+
+@settings(max_examples=400)
+@given(st.lists(_coord, min_size=3, max_size=3, unique=True), _coord, _coord, _coord,
+       st.booleans(), st.sampled_from(_REGIMES))
+def test_point_inside_the_edge_x_span_meets_its_entries(xs, uy, ay, by, flip, regime):
+    # why _point_in_edge_region has no |dx| kink inside [0, 1]: with u.x
+    # strictly inside the edge's x-span, the left end's float L is at most
+    # its x < u.x <= R(u), and the right end's R at least its x > u.x >= L(u)
+    lo, mid, hi = sorted(xs)
+    a, b, u = Point(lo, ay), Point(hi, by), Point(mid, uy)
+    if flip:
+        a, b = b, a
+    assert hull_builder._entries_meet(u, a, b, MetricParams.make(*regime).tan_alpha)
 
 
 # -- call-count guards ----------------------------------------------------------

@@ -55,7 +55,8 @@ def boundary_of(cl: hull_builder.Cluster) -> List[Point]:
     out: List[Point] = []
     for h in (cl.closure_above, cl.closure_below):
         if h is not None:
-            out.extend(hull_builder._boundary_generators(h))
+            out.extend(hull_builder._generators(h.upper.vertices, h.lower.vertices,
+                                                h.corner_generators))
     return out
 
 
@@ -329,8 +330,8 @@ def test_convex_position_footprints_stop_early(counted, family):
     h = len(boundary_of(cl))
     assert h == 512
     counted["walk"] = 0
-    hull_builder.footprints_and_bridges(tch)
-    assert cl.footprint is not None
+    (fp,), _ = hull_builder.footprints_and_bridges([boundary_of(cl)], m)
+    assert fp is not None
     assert counted["walk"] <= 4 * h
 
 
@@ -346,8 +347,36 @@ def test_nothing_rides_footprints_stay_near_linear(counted):
         (cl,) = tch.clusters
         assert len(boundary_of(cl)) == n
         counted["walk"] = 0
-        hull_builder.footprints_and_bridges(tch)
-        assert cl.footprint is None
+        (fp,), _ = hull_builder.footprints_and_bridges([boundary_of(cl)], m)
+        assert fp is None
         calls[n] = counted["walk"]
     assert 0 < calls[512] <= 2000
     assert calls[1024] <= 2.6 * calls[512]
+
+
+def test_build_runs_the_footprint_stage_once(monkeypatch):
+    # build calls footprints_and_bridges through its module binding, the
+    # one a tracer swaps, once per build, on a one-sided strip and on the
+    # alternating two-sided family, where mixed clusters form
+    rng = random.Random(1)
+    alternating = [Point(10.0 * i + rng.uniform(-1.0, 1.0), (-1.0) ** i * rng.uniform(1.0, 3.0))
+                   for i in range(256)]
+    cases = [(_strip(random.Random(3), 2048), MetricParams.make(2.0, 2.0)),
+             (alternating, MetricParams.make(2.0, 1.1))]
+    want = [hull_builder.build(pts, m) for pts, m in cases]
+    stage = hull_builder.footprints_and_bridges
+    calls = []
+
+    def counted_stage(boundaries, m):
+        calls.append(len(boundaries))
+        return stage(boundaries, m)
+
+    monkeypatch.setattr(hull_builder, "footprints_and_bridges", counted_stage)
+    for (pts, m), w in zip(cases, want):
+        calls.clear()
+        got = hull_builder.build(pts, m)
+        assert calls == [len(got.clusters)]
+        assert [c.footprint for c in got.clusters] == [c.footprint for c in w.clusters]
+        assert got.bridges == w.bridges
+        assert any(c.footprint is not None for c in got.clusters)
+    assert any(c.closure_above is not None and c.closure_below is not None for c in got.clusters)
