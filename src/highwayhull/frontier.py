@@ -23,9 +23,14 @@ unit frame of `hull_builder.build`, so arrivals and clusters are in that
 frame, and they are validated there once.  Convex closures are covered by
 the top..rightmost subchain of the upper hull, each vertex decided by the
 checked `in_walking_region`, plus, for each negative-slope edge there, the
-tangent bulge band of the edge's walking region.  The top is read off the
-chain by walking left from its right end while it rises.  Tangents are
-computed lazily and cached per edge, in one dict of the frontier.
+tangent bulge band of the edge's walking region.  `locate` decides a
+convex entry inline, in its second loop: a walk left from the chain's right
+end while it rises, testing each vertex, then the tangent bands from the
+top it stopped at.  Tangents are computed lazily and cached per edge, in
+one dict of the frontier.  Both loops call their predicates and
+`right_edge_tangent` through this module's bindings, looked up at each
+call, so a wrapper set on a binding (a tracer's, a test's counter) sees
+every call.
 """
 
 from __future__ import annotations
@@ -104,7 +109,11 @@ class Frontier:
         self.append(merged)
 
     def locate(self, q: Point) -> Optional[int]:
-        """Smallest live index whose right walking region contains q, else None."""
+        """Smallest live index whose right walking region contains q, else None.
+
+        Entries are scanned right to left until the K*Y break.  A box entry
+        is its right corner's test; a convex entry is decided here, by the
+        top-vertex walk and then the tangent-band loop (module docstring)."""
         qx, qy = q
         if qx < self._last_x:
             raise ContractViolationError(
@@ -125,45 +134,42 @@ class Frontier:
                 if _box_in_walking_region(e.right_corner, q, m):
                     best = i
             return best
+        m, tangents = self.params, self._tangents
+        t_a = m.tan_alpha
+        q_entry = qx - qy * t_a
         for i in range(len(live) - 1, -1, -1):
             e = live[i]
             if qx - e.right_x > k * (e.pmax_y + qy):
                 break
-            if self._entry_hits(e, q):
-                best = i
+            chain = e.chain
+            # the chain is concave: walking left from its right end, it rises
+            # up to its rightmost highest vertex
+            top = len(chain) - 1
+            while True:
+                g = chain[top]
+                if qx - g.x <= k * (g.y + qy) and (
+                    q_entry <= g.x + g.y * t_a or in_walking_region(g, q, m)
+                ):
+                    best = i
+                    break
+                if top == 0 or chain[top - 1].y <= g.y:
+                    break
+                top -= 1
+            if best == i:
+                continue
+            for j in range(top, len(chain) - 1):
+                hi, lo = chain[j], chain[j + 1]
+                if qx - lo.x > k * (hi.y + qy):
+                    continue
+                tan = tangents.get((hi, lo), _MISSING)
+                if tan is _MISSING:
+                    tan = tangents[(hi, lo)] = right_edge_tangent(hi, lo, m)
+                if tan is None or tan[2] == 0.0:
+                    # no tangent, or one collapsed onto the highway: a band of
+                    # zero height, whose edge endpoints the walk above tested
+                    continue
+                t_lo, t_hi, s = tan
+                if t_lo.y <= qy <= t_hi.y and qx <= t_lo.x + (qy - t_lo.y) / s:
+                    best = i
+                    break
         return best
-
-    def _entry_hits(self, e: EnvelopeEntry, q: Point) -> bool:
-        m = self.params
-        k = self._k
-        t_a = m.tan_alpha
-        q_entry = q.x - q.y * t_a
-        chain = e.chain
-        # the chain is concave: walking left from its right end, it rises
-        # up to its rightmost highest vertex
-        top = len(chain) - 1
-        while True:
-            g = chain[top]
-            if q.x - g.x <= k * (g.y + q.y) and (
-                q_entry <= g.x + g.y * t_a or in_walking_region(g, q, m)
-            ):
-                return True
-            if top == 0 or chain[top - 1].y <= g.y:
-                break
-            top -= 1
-        for j in range(top, len(chain) - 1):
-            hi, lo = chain[j], chain[j + 1]
-            if q.x - lo.x > k * (hi.y + q.y):
-                continue
-            tan = self._tangents.get((hi, lo), _MISSING)
-            if tan is _MISSING:
-                tan = right_edge_tangent(hi, lo, m)
-                self._tangents[(hi, lo)] = tan
-            if tan is None or tan[2] == 0.0:
-                # no tangent, or one collapsed onto the highway: a band of
-                # zero height, whose edge endpoints the loop above tested
-                continue
-            t_lo, t_hi, s = tan
-            if t_lo.y <= q.y <= t_hi.y and q.x <= t_lo.x + (q.y - t_lo.y) / s:
-                return True
-        return False

@@ -148,24 +148,44 @@ def _check_sorted(points: Sequence[Point]) -> None:
 def push_upper(chain: List[Point], q: Point) -> bool:
     """Monotone-chain step: append q (x >= the last abscissa) to an upper
     chain, popping vertices it leaves on or below; False when q ties the last
-    abscissa without rising above it and is not appended."""
-    if chain and chain[-1].x == q.x:
-        if q.y <= chain[-1].y:
+    abscissa without rising above it and is not appended.
+
+    Each turn is `_cross`'s float turn, computed inline with the same
+    expression; `_cross` is called only where that value leaves its exact
+    range (|turn| < _TURN_FLOOR or not finite), so the pops are `_cross`'s
+    to the bit.  A NaN turn stops the pops, as a comparison with it fails."""
+    qx, qy = q
+    if chain and chain[-1].x == qx:
+        if qy <= chain[-1].y:
             return False
         chain.pop()
-    while len(chain) >= 2 and _cross(chain[-2], chain[-1], q) >= 0.0:
+    while len(chain) >= 2:
+        o, a = chain[-2], chain[-1]
+        t = (a.x - o.x) * (qy - o.y) - (a.y - o.y) * (qx - o.x)
+        if not _TURN_FLOOR <= abs(t) < INF:
+            t = _cross(o, a, q)
+        if not t >= 0.0:
+            break
         chain.pop()
     chain.append(q)
     return True
 
 
 def push_lower(chain: List[Point], q: Point) -> None:
-    """Mirror of push_upper for a lower chain; an x tie keeps the lower point."""
-    if chain and chain[-1].x == q.x:
-        if q.y >= chain[-1].y:
+    """Mirror of push_upper for a lower chain, popping on turns <= 0; an x
+    tie keeps the lower point."""
+    qx, qy = q
+    if chain and chain[-1].x == qx:
+        if qy >= chain[-1].y:
             return
         chain.pop()
-    while len(chain) >= 2 and _cross(chain[-2], chain[-1], q) <= 0.0:
+    while len(chain) >= 2:
+        o, a = chain[-2], chain[-1]
+        t = (a.x - o.x) * (qy - o.y) - (a.y - o.y) * (qx - o.x)
+        if not _TURN_FLOOR <= abs(t) < INF:
+            t = _cross(o, a, q)
+        if not t <= 0.0:
+            break
         chain.pop()
     chain.append(q)
 

@@ -34,7 +34,9 @@ queried against the static point set with the subpath hull structure and
 every hit merges the rightmost pair of clusters; the loop runs until no
 exposure hits.  Both merges join adjacent runs, so every swept cluster is
 a run of its side's sorted points: the sweep keeps only its start, and its
-input members are one slice of the sorted input.  Under the box metrics a
+input members are one slice of the sorted input.  A convex cluster keeps
+its live upper chain, right_x and ymax: an arrival pushes onto the chain
+and raises the two by compare-and-assign.  Under the box metrics a
 cluster is its four extremes in the frame of `metric.box_coords`: an
 arrival computes its frame coordinates once, growth is compare-and-assign,
 and the right corner, right_x, ymax and exposing corner are read off the
@@ -54,12 +56,13 @@ in real (x, y) order: above the highway that is the sweep's first, in side
 order; below, the mirrored axis box takes a zero x from the lowest point
 with x == 0, and the mirrored diamond extremes are +0.0.  The chains are
 what `push_upper` / `push_lower` make, and those establish Chain's
-invariants with the same `_cross` its check tests, so the unit frame does
-not check them: the join and the footprints read the outlines, and each
-output cluster is made once, at the caller's scale, with its closures
-built from its outlines scaled exactly by 2^e through the checking Chain
-and ClosureHull constructors, the only ones that make a Chain or a
-ClosureHull.
+invariants with the turns of `_cross`, which its check tests (the float
+turn inline, `_cross` itself where that leaves its exact range), so the
+unit frame does not check them: the join and the footprints read the
+outlines, and each output cluster is made once, at the caller's scale,
+with its closures built from its outlines scaled exactly by 2^e, each
+distinct vertex once, through the checking Chain and ClosureHull
+constructors, the only ones that make a Chain or a ClosureHull.
 
 Sides are then joined, starting from those outlines.  Two
 components merge when a boundary generator of one walks to a generator
@@ -253,14 +256,6 @@ class _SideBuilder:
             c.corner = corner = Point(s0, t1)
             events.append((corner, corner))
 
-    def _append_point(self, c: _Live, q: Point, events: List) -> None:
-        if push_upper(c.chain, q) and len(c.chain) >= 2:
-            a, b = c.chain[-2], c.chain[-1]
-            if b.y > a.y:
-                events.append((a, b))
-        c.right_x = max(c.right_x, q.x)
-        c.ymax = max(c.ymax, q.y)
-
     def _merge(self, left: _Live, right: _Live, events: List) -> _Live:
         """Absorb `right`, the run just after `left`'s, into `left`."""
         if left.box is not None:
@@ -297,7 +292,14 @@ class _SideBuilder:
         c = live[j]
         for r in live[j + 1 :]:
             self._merge(c, r, events)
-        self._append_point(c, q, events)
+        # q joins the upper chain; a rising last edge is new boundary
+        ch = c.chain
+        if push_upper(ch, q) and len(ch) >= 2 and q.y > ch[-2].y:
+            events.append((ch[-2], q))
+        if q.x > c.right_x:
+            c.right_x = q.x
+        if q.y > c.ymax:
+            c.ymax = q.y
         self.frontier.update(c, len(live) - j)
         if events:
             self._drain(events)
@@ -998,10 +1000,21 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
         _require_scalable([f for _, *fs in comps for f in fs], footprints, bridges, e, m)
 
     def scaled_closure(f: Optional[_Outline]) -> Optional[ClosureHull]:
-        """The outline scaled exactly, through the checking constructors."""
+        """The outline scaled exactly, through the checking constructors.
+        Each distinct vertex is scaled once, the lower chain and the virtual
+        corners reusing what the chains before them scaled: equal vertices
+        of one outline are the same floats (see `_generators`)."""
         if f is None:
             return None
-        upper, lower, corners = (tuple([Point(s * x, s * y) for x, y in vs]) for vs in f)
+        up, lo, virtual = f
+        upper = tuple([Point(s * x, s * y) for x, y in up])
+        scaled = dict(zip(up, upper))
+        get = scaled.get
+        lower = tuple([get(v) or Point(s * v.x, s * v.y) for v in lo])
+        corners = ()
+        if virtual:
+            scaled.update(zip(lo, lower))
+            corners = tuple([get(v) or Point(s * v.x, s * v.y) for v in virtual])
         return ClosureHull(kind, Chain(upper, "upper"), Chain(lower, "lower"), corners)
 
     clusters = [Cluster(sorted(chain.from_iterable(map(members.__getitem__, gis))),

@@ -219,15 +219,22 @@ def cluster(
             if pi == pj:
                 union(i, j)
                 continue
-            if abs(pi.x - pj.x) > k * (abs(pi.y) + abs(pj.y)):
+            dx, y = abs(pi.x - pj.x), abs(pi.y) + abs(pj.y)
+            if dx > k * y:
+                # the linear-margin lemma of reach_coefficient bounds
+                # direct - highway below by this
+                margin = (1.0 - 1.0 / m.v) * (dx - k * y)
+                if margin < min_margin:
+                    min_margin = margin
                 continue
             hw = highway_time(pi, pj, m)
             if hw is None:
-                gap = abs(pi.x - pj.x) - (abs(pi.y) + abs(pj.y)) * m.tan_alpha
-                direct = lp_distance(pi, pj, m.p)
-                ride0 = (abs(pi.y) + abs(pj.y)) * m.descent_cost
-                if direct > ride0 and abs(gap) < min_margin:
-                    min_margin = abs(gap)
+                # the entries overlap: walking loses only once the gap is
+                # positive and direct exceeds the zero-gap ride
+                ride0 = y * m.descent_cost
+                margin = max(abs(dx - y * m.tan_alpha), ride0 - lp_distance(pi, pj, m.p))
+                if margin < min_margin:
+                    min_margin = margin
                 union(i, j)
                 continue
             direct = lp_distance(pi, pj, m.p)

@@ -7,7 +7,7 @@ bracket the query slope maximizes y - slope*x over the whole range, so one
 vertex test per node decides it.  A node's hull is built on first need:
 a leaf-size node folds `geometry.push_upper` over its own points, a larger
 one over its children's hulls, which are built and cached on the way, so
-every turn is the scale-safe `_cross`.  Space: O(n log n) at most.  Query
+every turn is decided as the scale-safe `_cross` decides it.  Space: O(n log n) at most.  Query
 O(log^2 n), plus the first build of each node it covers and of their
 descendants, O(m log m) for m points covered; a query over a few leaves'
 worth of points tests each of them directly.

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -103,6 +104,72 @@ def test_turn_sign_is_the_unit_scale_sign_at_every_scale():
         for kx, ky in scales:
             scaled = [Point(math.ldexp(q.x, kx), math.ldexp(q.y, ky)) for q in tri]
             assert sign(geometry._cross(*scaled)) == want, (tri, kx, ky)
+
+
+def _reference_push(chain, q, upper, cross):
+    """push_upper / push_lower with every turn a call of `cross`."""
+    if chain and chain[-1].x == q.x:
+        if (q.y <= chain[-1].y) if upper else (q.y >= chain[-1].y):
+            return
+        chain.pop()
+    while len(chain) >= 2:
+        t = cross(chain[-2], chain[-1], q)
+        if not (t >= 0.0 if upper else t <= 0.0):
+            break
+        chain.pop()
+    chain.append(q)
+
+
+def test_chain_steps_pop_as_cross_decides(monkeypatch):
+    # push_upper / push_lower compute the float turn inline and call _cross
+    # only outside its exact range; folds of near-collinear runs, clusters
+    # 2^-600 across beside a unit point (turns below _TURN_FLOOR),
+    # coordinates near 2^1000 (turns that overflow) and +-0 with x ties
+    # must keep the chains that a _cross-per-turn fold keeps, to the bit
+    rng = random.Random(25)
+
+    def near_collinear():
+        a, b = rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0)
+        pts = []
+        for _ in range(rng.randint(3, 40)):
+            x = rng.uniform(-4.0, 4.0)
+            y = a * x + b
+            pts.append(Point(x, rng.choice((y, math.nextafter(y, INF), math.nextafter(y, -INF)))))
+        return pts
+
+    def tiny():
+        s = 2.0**-600
+        return [Point(-1.0, 1.0)] + [Point(s * rng.uniform(0, 50), s * rng.uniform(-3, 3))
+                                     for _ in range(rng.randint(4, 40))]
+
+    def huge():
+        s = 2.0**1000
+        return [Point(s * rng.uniform(-1.0, 1.0), s * rng.uniform(-1.0, 1.0))
+                for _ in range(rng.randint(3, 40))]
+
+    def zeros():
+        return [Point(rng.choice((-0.0, 0.0, 0.5, 1.0)), rng.choice((-0.0, 0.0, 0.5, -1.0)))
+                for _ in range(rng.randint(2, 12))]
+
+    cross = geometry._cross
+    rescaled = Counter()
+    for family in (near_collinear, tiny, huge, zeros):
+        def counted_cross(*args):
+            rescaled[family.__name__] += 1
+            return cross(*args)
+
+        monkeypatch.setattr(geometry, "_cross", counted_cross)
+        for _ in range(200):
+            pts = sorted(family(), key=lambda q: (q.x, q.y))
+            for upper, push in ((True, geometry.push_upper), (False, geometry.push_lower)):
+                got, want = [], []
+                for q in pts:
+                    push(got, q)
+                    _reference_push(want, q, upper, cross)
+                    assert [(v.x.hex(), v.y.hex()) for v in got] == \
+                        [(v.x.hex(), v.y.hex()) for v in want], (family.__name__, pts)
+    # the tiny and huge folds reach _cross's rescaled turns
+    assert rescaled["tiny"] > 100 and rescaled["huge"] > 100, rescaled
 
 
 # -- metric closures ---------------------------------------------------------------

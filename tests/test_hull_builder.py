@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import helpers
-from highwayhull import hull_builder, oracle
+from highwayhull import frontier, hull_builder, oracle
 from highwayhull.geometry import (
     Chain,
     ClosureHull,
@@ -319,6 +319,28 @@ def test_box_strip_corner_tests_stay_linear(counted, p, v):
         counted.clear()
         hull_builder.build(_strip(random.Random(n), n), m)
         assert n <= counted["corner"] <= 1.5 * n, (p, v, n, counted["corner"])
+
+
+@pytest.mark.parametrize("p, v, corner, right, tangent", [
+    (2.0, 2.0, 1899, 478, 771),
+    (1.3, 2.0, 4504, 777, 1129),
+    (7.0, 5.0, 652, 399, 826),
+])
+def test_convex_locate_makes_the_pinned_calls(counted, monkeypatch, p, v, corner, right,
+                                              tangent):
+    # Frontier.locate decides a convex entry by its top-vertex walk and the
+    # tangent bands below; these are the counts of its vertex tests, its
+    # right tangents and their unit tangencies when that decision was a
+    # method of its own, so the inlined loop makes the same calls
+    tangent_fn = frontier.right_edge_tangent
+
+    def counted_tangent(*args):
+        counted["right"] += 1
+        return tangent_fn(*args)
+
+    monkeypatch.setattr(frontier, "right_edge_tangent", counted_tangent)
+    hull_builder.build(_strip(random.Random(4096), 4096), MetricParams.make(p, v))
+    assert (counted["corner"], counted["right"], counted["tangent"]) == (corner, right, tangent)
 
 
 def _tiny_cluster(seed):

@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from highwayhull import hull_builder, oracle
-from highwayhull.metric import INF, InvalidInputError, MetricParams, Point
+from highwayhull.metric import INF, InvalidInputError, MetricParams, Point, reach_coefficient
 from highwayhull.oracle import OracleBudgetError, _edge_region_margin
 
 
@@ -49,6 +49,20 @@ def test_margin_tracks_closest_decision():
     assert helpers.canon(merged.partition) == ((0, 1),)
     far = oracle.cluster([Point(0.0, 1.0), Point(30.0, 2.0)], m)
     assert far.min_margin > 1.0
+    # a pair beyond the reach K Y records the linear-margin lemma's bound
+    assert far.min_margin == (1.0 - 1.0 / m.v) * (30.0 - reach_coefficient(m) * 3.0)
+
+
+def test_margin_sees_ties_the_pair_shortcuts_decide():
+    # at p = inf these pairs' entry intervals touch to within ulps, so the
+    # pair stage unions some of them on a negative float gap with direct <=
+    # ride0; the build splits them ((0,), (1, 2, 3)), the oracle does not,
+    # and the margin must flag the instance as a near tie
+    pts = [Point(2.0560672735585728, 0.7609361036865657),
+           Point(4.488974966190474, 1.6719715889453353),
+           Point(3.8606680820513457, 0.15079677966944008),
+           Point(5.5916749596630595, 1.5802100979422755)]
+    assert oracle.cluster(pts, MetricParams.make(INF, INF)).min_margin < helpers.NEAR_TIE
 
 
 def test_edge_probe_agrees_with_builder_probe():
