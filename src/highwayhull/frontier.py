@@ -5,7 +5,10 @@ clusters sit in one left-to-right list and each arrival scans it right to
 left.  The scan stops once the reach bound q.x - right_x > K*(ymax + q.y)
 proves that no cluster at or left of the current one can contain the
 arrival (K is the metric's reach coefficient and ymax a prefix maximum),
-which keeps the scan short on anything but adversarial inputs.  The break
+which keeps the scan short on anything but adversarial inputs.  Each
+entry keeps its prefix maxima, set when it is appended: `pmax_y` of
+ymax, and for a box entry `pmax_s` of its frame extreme s1, which the
+builder's p = inf exposure test reads.  The break
 is the bare K*Y bound, which rounding oversteps at v -> 1 (a pair just
 beyond it can still walk in floats), so there it can end the scan before
 a cluster the float predicate would accept.
@@ -64,23 +67,32 @@ class EnvelopeEntry:
     generator, which the frontier's box loop tests, and `chain` is unused.
     Locate reads only the right end, so an entry carries no left end: the
     builder's clusters are runs of the x-sorted arrivals, and a run's first
-    point is its left end.
+    point is its left end.  A box entry also carries `box`, its extremes
+    [s0, s1, t0, t1] in the frame of `metric.box_coords`.
     """
 
     __slots__ = (
         "chain",
         "right_corner",
+        "box",
         "right_x",
         "ymax",
         "pmax_y",
+        "pmax_s",
     )
 
     def __init__(self):
         self.chain: List[Point] = []
         self.right_corner: Optional[Point] = None
+        self.box: Optional[List[float]] = None
         self.right_x = -INF
         self.ymax = 0.0
         self.pmax_y = 0.0
+        self.pmax_s = -INF
+
+
+# the prefix maxima before the first entry
+_EMPTY = EnvelopeEntry()
 
 
 class Frontier:
@@ -98,8 +110,13 @@ class Frontier:
         self._tangents: Dict[Tuple[Point, Point], Optional[Tuple[Point, Point, float]]] = {}
 
     def append(self, entry: EnvelopeEntry) -> None:
-        prev = self.live[-1].pmax_y if self.live else 0.0
-        entry.pmax_y = prev if prev > entry.ymax else entry.ymax
+        """Append `entry` and its prefix maxima: of ymax, and for a box
+        entry of its frame extreme s1."""
+        prev = self.live[-1] if self.live else _EMPTY
+        entry.pmax_y = prev.pmax_y if prev.pmax_y > entry.ymax else entry.ymax
+        if self._box:
+            s1 = entry.box[1]
+            entry.pmax_s = prev.pmax_s if prev.pmax_s > s1 else s1
         self.live.append(entry)
 
     def update(self, merged: EnvelopeEntry, replaced: int) -> None:

@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 from scipy.optimize import brentq
 
 from .metric import (
-    FLOAT_EPS,
     INF,
     InvalidInputError,
     MetricParams,
@@ -43,9 +42,6 @@ _LOGIT_SPAN = 700.0
 _LOG_SENTINEL = 1e4
 # below this a turn's sign may come from subnormal products
 _TURN_FLOOR = 2.0**-960
-# widens the p = inf exposure clip past the rounding of the hull tree's
-# line test on unit-frame coordinates (|x|, |y| < 4)
-_CLIP_SLACK = 512.0 * FLOAT_EPS
 
 
 def _cross(o: Point, a: Point, b: Point) -> float:
@@ -478,18 +474,18 @@ def exposed_boundary_segments(
     edge: Tuple[Point, Point],
     m: MetricParams,
     x_cap: float,
-    y_top: Optional[float] = None,
 ) -> List[QuerySegment]:
     """Query segments covering the newly exposed left-boundary piece of an
-    edge (1 < p < inf) or governing box corner (p in {1, inf}; pass the
-    corner as a degenerate edge), clipped to x <= x_cap.
+    edge (1 < p < inf) or governing box corner (p = 1; pass the corner as a
+    degenerate edge), clipped to x <= x_cap.
 
-    For p = inf the boundary line x + y = cx - cy is unbounded to the upper
-    left, so the caller must supply y_top, the height of its tallest
-    stored point: no point left of x = cx - cy - y_top lies above the line,
-    and the segment starts there, less a rounding slack of the unit frame.
+    p = inf has no segments: the builder decides an apex's exposure by the
+    float gap of `in_walking_region` against a prefix maximum of x + y, and
+    a diamond corner raises InvalidInputError here.
     """
     a, b = edge
+    if m.closure_kind == "diamond_box":
+        raise InvalidInputError("p=inf exposure has no query segments")
     if m.closure_kind == "axis_box":
         if a != b:
             raise InvalidInputError("box metrics expose corners; pass (corner, corner)")
@@ -504,18 +500,6 @@ def exposed_boundary_segments(
         # the line runs below y = cy on (wall, hi), so this one query also
         # covers every point above the corner's height there
         return [QuerySegment(Point(wall, cy), Point(hi, beta * (cx - hi)))]
-    if m.closure_kind == "diamond_box":
-        if a != b:
-            raise InvalidInputError("box metrics expose corners; pass (corner, corner)")
-        if y_top is None:
-            raise InvalidInputError("p=inf exposure needs an explicit y_top")
-        cx, cy = a.x, abs(a.y)
-        base = cx - cy
-        lo = base - y_top - _CLIP_SLACK
-        hi = min(cx, x_cap)
-        if hi <= lo:
-            return []
-        return [QuerySegment(Point(lo, base - lo), Point(hi, base - hi))]
     if a == b:
         return []
     if a.x > b.x:

@@ -29,9 +29,14 @@ left-to-right sweep: an arrival either lands in the right walking region
 of a live cluster, merging the whole suffix from that cluster on, or
 starts a new cluster.  After each merge the newly created boundary
 (positive-slope bridge edges, or the moved box corner for p in {1, inf})
-can expose region not covered by any older boundary, so those pieces are
-queried against the static point set with the subpath hull structure and
-every hit merges the rightmost pair of clusters; the loop runs until no
+can expose region not covered by any older boundary.  For p < inf those
+pieces are queried against the static point set with the subpath hull
+structure.  At p = inf a moved apex A exposes an older point q exactly
+when the float gap of in_walking_region(A, q), fl(A.x - A.y) -
+fl(q.x + q.y), is negative, and fl(q.x + q.y) is q's frame coordinate s,
+so one comparison of A.x - A.y with the older clusters' prefix maximum of
+s (kept by the frontier) decides it, with no segment and no tree.  Every
+hit merges the rightmost pair of clusters, and the loop runs until no
 exposure hits.  Both merges join adjacent runs, so every swept cluster is
 a run of its side's sorted points: the sweep keeps only its start, and its
 input members are one slice of the sorted input.  A convex cluster keeps
@@ -131,7 +136,6 @@ from .geometry import (
     push_upper,
 )
 from .metric import (
-    INF,
     MetricParams,
     NumericError,
     Point,
@@ -180,14 +184,12 @@ class _Live(EnvelopeEntry):
     alone: `chain` for a convex closure, `box` for a box closure, whose
     tied extremes keep the run's first member in side order."""
 
-    __slots__ = ("start", "box", "corner")
+    __slots__ = ("start", "corner")
 
     def __init__(self, start: int):
         super().__init__()
         self.start = start
-        # box metrics: extremes [s0, s1, t0, t1] in the frame of
-        # metric.box_coords, and the corner whose moves expose region
-        self.box: Optional[List[float]] = None
+        # box metrics: the corner whose moves expose region
         self.corner: Optional[Point] = None
 
 
@@ -212,9 +214,9 @@ class _SideBuilder:
         # a singleton, a point whose x - y lies within ulps of the
         # singleton's x + y can be exposed by the apex alone, and without the
         # drain such partitions leave the oracle's far more often than not.
+        # The drain tests an apex A as in_walking_region(A, q) does for the
+        # older q with the largest s = fl(q.x + q.y): a negative float gap.
         self.apex_exposes = self.kind == "diamond_box"
-        # p = inf exposure segments start where their line passes this height
-        self.y_top = max((pt.y for pt in pts), default=0.0) if self.apex_exposes else None
 
     # -- cluster state maintenance -------------------------------------
 
@@ -335,15 +337,16 @@ class _SideBuilder:
                 events.clear()
                 return
             e = events[-1]
-            # capped at the last cluster's left end, its run's first point
-            segs = exposed_boundary_segments(
-                e, self.m, x_cap=self.pts[live[-1].start].x, y_top=self.y_top
-            )
-            hit = False
-            if segs:
-                if self.tree is None:
-                    self.tree = subpath_hull.build(self.pts)
-                hit = any(self.tree.any_point_above(s) for s in segs)
+            if self.apex_exposes:
+                hit = live[-2].pmax_s > e[0].x - e[0].y
+            else:
+                # capped at the last cluster's left end, its run's first point
+                segs = exposed_boundary_segments(e, self.m, x_cap=self.pts[live[-1].start].x)
+                hit = False
+                if segs:
+                    if self.tree is None:
+                        self.tree = subpath_hull.build(self.pts)
+                    hit = any(self.tree.any_point_above(s) for s in segs)
             if not hit:
                 events.pop()
                 continue
@@ -481,7 +484,8 @@ def _point_in_edge_region(u: Point, a: Point, b: Point, m: MetricParams) -> bool
         p = Point(a.x + s * (b.x - a.x), a.y + s * (b.y - a.y))
         hw = _highway_time(p, u, m)
         if hw is None:
-            return -INF
+            # u is in here; -inf would make the bounded method compute with NaN
+            return 0.0
         return _lp(abs(p.x - u.x), abs(p.y - u.y), m.p) - hw
 
     if f(0.0) <= 0.0 or f(1.0) <= 0.0:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -361,6 +362,19 @@ def test_far_side_edges_never_reach_the_minimizer(monkeypatch):
     m = MetricParams.make(2.0, 2.0)
     assert not hull_builder._point_in_edge_region(Point(1.5, 0.1), Point(0.0, 0.1), Point(0.2, 0.1), m)
     assert calls
+
+
+def test_an_interior_entry_overlap_gives_the_minimizer_no_infinity():
+    # the endpoints' entries are apart, yet interior edge points have a
+    # negative float gap: f reads 0.0 there, where -inf made scipy's bounded
+    # method compute with NaN and warn, for the same verdict
+    m = MetricParams.make(INF, INF)
+    u = Point(0.02928972286439189, -0.006671992080477432)
+    a = Point(0.10553609851593698, -0.06957438357106766)
+    b = Point(0.20187788382203536, -0.16591616887716604)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hull_builder._point_in_edge_region(u, a, b, m)
 
 
 def test_far_side_verdicts_match_the_oracle():

@@ -9,6 +9,7 @@ from highwayhull.metric import (
     INF,
     MetricParams,
     Point,
+    box_coords,
     highway_time,
     in_walking_region,
     lp_distance,
@@ -22,6 +23,8 @@ def singleton(pt, m):
     e = EnvelopeEntry()
     if m.closure_kind != "convex":
         e.right_corner = pt
+        s, t = box_coords(pt, m.closure_kind)
+        e.box = [s, s, t, t]
     else:
         e.chain = [pt]
     e.right_x = pt.x
@@ -55,6 +58,12 @@ def test_prefix_maxima_track_heights():
     for x, y in ((0.0, 1.0), (0.25, 0.25), (0.5, 0.5)):
         f.append(singleton(Point(x, y), m))
     assert [e.pmax_y for e in f.live] == [1.0, 1.0, 1.0]
+    # box entries keep a prefix maximum of their frame extreme s1 = x + y too
+    m = MetricParams.make(INF, 2.0)
+    f = Frontier(m)
+    for x, y in ((0.0, 1.0), (0.25, 0.25), (0.5, 1.0)):
+        f.append(singleton(Point(x, y), m))
+    assert [(e.pmax_y, e.pmax_s) for e in f.live] == [(1.0, 1.0), (1.0, 1.0), (1.0, 1.5)]
 
 
 def test_locate_matches_naive_scan_over_singletons():

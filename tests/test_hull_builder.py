@@ -1,6 +1,7 @@
 """Partition construction end to end, checked against the exhaustive reference."""
 
 import gc
+import hashlib
 import math
 import random
 from collections import Counter
@@ -8,7 +9,7 @@ from collections import Counter
 import pytest
 
 import helpers
-from highwayhull import frontier, hull_builder, oracle
+from highwayhull import frontier, hull_builder, oracle, subpath_hull
 from highwayhull.geometry import (
     Chain,
     ClosureHull,
@@ -427,6 +428,76 @@ def test_box_corner_wedge_decides_membership():
         pts = [Point(-10.0, qy), a, b]
         assert helpers.build_partition(pts, m) == want
         assert helpers.canon(oracle.cluster(pts, m).partition) == want
+
+
+def _ulp_ties(seed):
+    """p = inf pairs side by side: a point, then one whose x - y lies within
+    3 ulps of the point's x + y, so an apex's rounding decides the tie."""
+    rng = random.Random(seed)
+    v = rng.choice((1.1, 2.0, 5.0, INF))
+    pts, x = [], 0.0
+    for _ in range(rng.randint(2, 8)):
+        x += rng.uniform(0.5, 3.0)
+        y = rng.uniform(0.1, 2.0)
+        y2 = rng.uniform(0.05, 2.5)
+        x2 = x + y + y2
+        for _ in range(abs(k := rng.randint(-3, 3))):
+            x2 = math.nextafter(x2, math.copysign(INF, k))
+        pts += [Point(x, y), Point(x2, y2)]
+        x = x2
+    return pts, MetricParams.make(INF, v)
+
+
+def test_ulp_tie_partitions_are_pinned():
+    # 82 of these partitions hang on an apex exposure hit: a p = inf drain
+    # that pops its events untested moves the digest
+    h = hashlib.sha256()
+    for seed in range(3000):
+        pts, m = _ulp_ties(seed)
+        h.update(repr(helpers.build_partition(pts, m)).encode())
+    assert h.hexdigest() == "ae195929b0698eac5409902f267be747dd05d8d12b59e61ed7ee5ec3329da8fc"
+
+
+# four points that the sweep leaves as {0}, {1, 2, 3}, until the apex of
+# {1, 2, 3} exposes point 0 by a negative float gap
+PLANTED_APEX_TIES = {
+    INF: [(1.7896597434053292, 0.6877100921214936), (3.624777137690615, 1.1474073021637914),
+          (5.444580651700393, 1.2012896969227884), (8.681110578761686, 2.0352402301385055)],
+    1.1: [(0.733191651395746, 0.24981694334741533), (1.444155722370143, 0.4611471276269812),
+          (2.5690313196739565, 1.2471784606190344), (6.144466468470576, 2.3282566881775875)],
+}
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("v", sorted(PLANTED_APEX_TIES))
+def test_planted_apex_ties_merge(v, mirror):
+    pts = [Point(x, -y if mirror else y) for x, y in PLANTED_APEX_TIES[v]]
+    m = MetricParams.make(INF, v)
+    assert helpers.canon(oracle.cluster(pts, m).partition) == ((0, 1, 2, 3),)
+    assert helpers.build_partition(pts, m) == ((0, 1, 2, 3),)
+
+
+def test_p_inf_strips_build_no_hull_tree(monkeypatch):
+    counts = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted_fn(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted_fn)
+
+    count(subpath_hull, "build")
+    count(subpath_hull.HullTree, "any_point_above")
+    count(hull_builder, "exposed_boundary_segments")
+    pts = _strip(random.Random(4096), 4096)
+    tch = hull_builder.build(pts, MetricParams.make(INF, 2.0))
+    assert len(tch.clusters) > 100 and not counts
+    # the counters see the tree where it stays, at p = 1
+    hull_builder.build(pts, MetricParams.make(1.0, 2.0))
+    assert counts["build"] == 1 and counts["any_point_above"] > 0
 
 
 # -- structural soundness -----------------------------------------------------------
