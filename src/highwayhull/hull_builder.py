@@ -18,8 +18,10 @@ instead of scaling back to inf.
 
 The input is put in one stable order by (below, x, side y): below means
 y < 0 (y == 0 counts as above), and side y is -y below the highway and y
-elsewhere, so a -0.0 keeps its sign.  Three stable sorts make it, by side
-y, by x and by below, since floats and bools compare faster than tuples.
+elsewhere, so a -0.0 keeps its sign.  `_input_order` splits the indices
+by side and sorts each side once, stably, by x; only a side where some x
+repeats is sorted again, by side y and by x, since floats compare faster
+than tuples.
 Copies are adjacent, first copy first, and each distinct point keeps its
 first copy's floats; a point and its mirror image across the highway have
 equal side coordinates and stay two points, cut apart at the side
@@ -120,7 +122,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
-from operator import ne
+from operator import eq, itemgetter, ne, neg, not_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from scipy.optimize import minimize_scalar
@@ -145,6 +147,7 @@ from .metric import (
     box_point,
     coordinates,
     in_walking_region,
+    points,
     reach_coefficient,
     reach_slack,
 )
@@ -370,8 +373,13 @@ def _side_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
     for p in pts[s:t]:
         push_lower(lower, p)
     if mirror:
-        upper, lower = [Point(x, -y) for x, y in lower], [Point(x, -y) for x, y in upper]
+        upper, lower = _mirrored(lower), _mirrored(upper)
     return (tuple(upper), tuple(lower), ())
+
+
+def _mirrored(pts: Sequence[Point]) -> List[Point]:
+    """`pts` mirrored across the highway, (x, y) -> (x, -y)."""
+    return points(map(itemgetter(0), pts), map(neg, map(itemgetter(1), pts)))
 
 
 def _box_closure(c: _Live, pts: Sequence[Point], s: int, t: int, mirror: bool,
@@ -593,6 +601,31 @@ class _UnionFind:
         self.parent[self.find(y)] = self.find(x)
 
 
+class _RunGroups(Sequence[List[Point]]):
+    """The join's groups, read lazily: group gi is swept run `runs[gi]` of
+    the sorted side points `pts`, in real unit-frame coordinates (a run at
+    or past `n_up` lies below and is mirrored back).  `cross_side_merge`
+    reads a group only to gather a side from several clusters, so each is
+    made the first time it is read, and at most once."""
+
+    def __init__(self, pts: List[Point], runs: List[Tuple[int, int]], n_up: int):
+        self.pts, self.runs, self.n_up = pts, runs, n_up
+        self.made: List[Optional[List[Point]]] = [None] * len(runs)
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+    def __getitem__(self, gi: int) -> List[Point]:
+        got = self.made[gi]
+        if got is None:
+            got = self.made[gi] = self._members(gi)
+        return got
+
+    def _members(self, gi: int) -> List[Point]:
+        s, t = self.runs[gi]
+        return self.pts[s:t] if s < self.n_up else _mirrored(self.pts[s:t])
+
+
 def cross_side_merge(
     groups: Sequence[List[Point]], outlines: Sequence[_Outline], n_above: int, m: MetricParams
 ) -> List[Tuple[List[int], Optional[_Outline], Optional[_Outline]]]:
@@ -601,9 +634,12 @@ def cross_side_merge(
     `groups[i]` is a swept cluster's member points in the unit frame of
     `build` and `outlines[i]` its closure's outline, (upper chain vertices,
     lower chain vertices, virtual corners); groups below index `n_above`
-    lie above the highway, the rest below.  Returns each component as its
-    group indices in increasing order with its above and below outlines
-    (None for an empty side), components by their smallest index.
+    lie above the highway, the rest below.  A group is read only where a
+    side is gathered from several swept clusters, so `build` passes lazy
+    groups (`_RunGroups`) that copy a run when it is first read.  Returns
+    each component as its group indices in increasing order with its above
+    and below outlines (None for an empty side), components by their
+    smallest index.
 
     Components merge until no generator of one walks to a generator of
     another or lies in the walking region of its closure edges (either
@@ -936,25 +972,41 @@ def build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
             gc.enable()
 
 
-def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
+def _input_order(ux: List[float], sy: List[float], below: List[bool]) -> List[int]:
+    """The input's indices in the order by (below, x, side y, index): each
+    side's indices, split off in index order, sorted stably by x.  A side
+    where some x repeats is then sorted stably by side y and by x again,
+    which orders each x tie by side y, then index.  Float keys sort faster
+    than tuples, and -0.0 and 0.0 are equal keys to the sorts and to the
+    tie test."""
+    order: List[int] = []
+    every = range(len(ux))
+    for side in (list(compress(every, map(not_, below))), list(compress(every, below))):
+        side.sort(key=ux.__getitem__)
+        xs = list(map(ux.__getitem__, side))
+        if any(map(eq, xs, islice(xs, 1, None))):
+            side.sort(key=sy.__getitem__)
+            side.sort(key=ux.__getitem__)
+        order += side
+    return order
+
+
+def _build(given: Sequence[Point], m: MetricParams) -> TimeConvexHull:
     """`build` with the collector paused."""
-    xs, ys = coordinates(points)
+    xs, ys = coordinates(given)
     e = math.frexp(max(max(map(abs, xs)), max(map(abs, ys))))[1] - 1
     n = len(xs)
 
-    # one stable order of the input in the unit frame, by (below, x, side y),
-    # from stable sorts by side y, by x and by below, whose keys are floats
-    # and bools: faster than one sort by tuples
+    # one stable order of the input in the unit frame, by (below, x, side y,
+    # index), and its side points made in one C-level pass
     ux = list(map(math.ldexp, xs, repeat(-e)))
     uy = list(map(math.ldexp, ys, repeat(-e)))
     del xs, ys
     sy = [-y if y < 0.0 else y for y in uy]
     below = [y < 0.0 for y in uy]
-    order = sorted(range(n), key=sy.__getitem__)
-    order.sort(key=ux.__getitem__)
-    order.sort(key=below.__getitem__)
+    order = _input_order(ux, sy, below)
     n_split = below.count(False)
-    side = [Point(ux[i], sy[i]) for i in order]
+    side = points(map(ux.__getitem__, order), map(sy.__getitem__, order))
     del ux, uy, sy, below
     # copies are adjacent with the first copy first: distinct point d is
     # order[cuts[d]:cuts[d + 1]], its side coordinates its first copy's.  A
@@ -979,11 +1031,9 @@ def _build(points: Sequence[Point], m: MetricParams) -> TimeConvexHull:
                 for c, (s, t) in zip(sides[0] + sides[1], runs)]
 
     if 0 < n_above < len(runs):
-        # the join reads each run's points in the unit frame; a side of one
-        # swept cluster keeps its closure, a side of several is built anew
-        comps = cross_side_merge(
-            [pts[s:t] if s < n_up else [Point(x, -y) for x, y in pts[s:t]] for s, t in runs],
-            outlines, n_above, m)
+        # a side of one swept cluster keeps its closure; the join reads a
+        # run's points only to build a side of several anew
+        comps = cross_side_merge(_RunGroups(pts, runs, n_up), outlines, n_above, m)
         # clusters in order of their leftmost member, each run's first point
         comps.sort(key=lambda comp: min(pts[runs[gi][0]].x for gi in comp[0]))
     else:

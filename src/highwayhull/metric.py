@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from numbers import Real
 from typing import Iterable, NamedTuple, Optional
 
@@ -63,6 +64,13 @@ class NumericError(ArithmeticError):
 class Point(NamedTuple):
     x: float
     y: float
+
+
+def points(xs: Iterable[float], ys: Iterable[float]) -> list[Point]:
+    """The Points (x, y) of paired abscissae and ordinates, made at C level:
+    `Point(x, y)` runs the NamedTuple's Python-level `__new__`, which costs
+    about twice as much per point."""
+    return list(map(tuple.__new__, repeat(Point), zip(xs, ys)))
 
 
 def _require_finite(pt: Point) -> None:

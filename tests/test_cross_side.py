@@ -462,11 +462,12 @@ def test_uniform_join_walk_tests_stay_linear(counted):
     assert counted["walk"] <= 4 * n
 
 
-def _alternating(n: int) -> List[Point]:
+def _alternating(n: int, seed: object = 1) -> List[Point]:
     """The alternating family of `perfbench.workloads`, drawn from
-    random.Random(1): x = 10 i + U[-1, 1], sides alternating, |y| ~
-    U[1, 3]."""
-    rng = random.Random(1)
+    random.Random(seed): x = 10 i + U[-1, 1], sides alternating, |y| ~
+    U[1, 3].  Seed "1:4:alternating:256" draws that benchmark's
+    alternating-256 cell at its seed 1."""
+    rng = random.Random(seed)
     return [
         Point(10.0 * i + rng.uniform(-1.0, 1.0), (1.0 if i % 2 == 0 else -1.0) * rng.uniform(1.0, 3.0))
         for i in range(n)
@@ -529,6 +530,70 @@ def test_join_builds_each_closure_once(monkeypatch):
     assert len(tch.clusters) < len(swept)
     assert calls and len(set(calls)) == len(calls)
     assert not swept.intersection(calls)
+
+
+def _counted_group_reads(monkeypatch) -> Tuple[Counter, List]:
+    """Counts of the runs the join's lazy groups copy, by group index, and
+    each `cross_side_merge` call's arguments with a copy of its result
+    (`build` sorts the result in place)."""
+    made: Counter = Counter()
+    joins = []
+    members = hull_builder._RunGroups._members
+    merge = hull_builder.cross_side_merge
+
+    def counted(self, gi):
+        made[gi] += 1
+        return members(self, gi)
+
+    def kept(groups, outlines, n_above, m):
+        got = merge(groups, outlines, n_above, m)
+        joins.append((groups, outlines, n_above, m, list(got)))
+        return got
+
+    monkeypatch.setattr(hull_builder._RunGroups, "_members", counted)
+    monkeypatch.setattr(hull_builder, "cross_side_merge", kept)
+    return made, joins
+
+
+def test_join_reads_no_group_when_each_side_is_one_cluster(monkeypatch):
+    made, joins = _counted_group_reads(monkeypatch)
+    rng = random.Random(27)
+    pts = [Point(rng.uniform(-100.0, 100.0), rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 100.0))
+           for _ in range(1024)]
+    tch = hull_builder.build(pts, MetricParams.make(2.0, 2.0))
+    # one swept cluster per side, joined into one: both sides keep the
+    # sweep's closures, so no run is copied
+    assert len(joins) == 1 and len(joins[0][0]) == 2 and len(tch.clusters) == 1
+    assert not made
+
+
+def test_join_copies_each_run_at_most_once(monkeypatch):
+    # the benchmark's alternating-256 cell gathers sides from several
+    # swept clusters; seed 269 of `helpers.random_points` reads a run twice
+    made, joins = _counted_group_reads(monkeypatch)
+    reads = Counter()
+    getitem = hull_builder._RunGroups.__getitem__
+
+    def read(self, gi):
+        reads[gi] += 1
+        return getitem(self, gi)
+
+    monkeypatch.setattr(hull_builder._RunGroups, "__getitem__", read)
+    m = MetricParams.make(2.0, 1.1)
+    hull_builder.build(_alternating(256, "1:4:alternating:256"), m)
+    assert len(made) >= 20 and max(made.values()) == 1, made
+    # the lazy groups give the join the components that eager member lists,
+    # each below run mirrored back, give
+    groups, outlines, n_above, m, got = joins[0]
+    eager = [groups.pts[s:t] if s < groups.n_up else [Point(x, -y) for x, y in groups.pts[s:t]]
+             for s, t in groups.runs]
+    assert hull_builder.cross_side_merge(eager, outlines, n_above, m) == got
+    rng = random.Random(269)
+    made.clear()
+    reads.clear()
+    m = MetricParams.make(rng.choice(helpers.P_GRID), rng.choice(helpers.V_GRID))
+    hull_builder.build(helpers.random_points(rng, rng.randint(10, 80)), m)
+    assert max(reads.values()) > 1 and max(made.values()) == 1, (reads, made)
 
 
 def test_join_decides_each_generator_pair_once(monkeypatch):

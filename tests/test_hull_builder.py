@@ -581,6 +581,33 @@ def _signed_zero_xs(rng, n):
                   else rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
 
 
+def _copy_heavy(rng, n):
+    """Copies of a few `_zero_heavy` points, zero signs as drawn."""
+    pool = _zero_heavy(rng, rng.randint(1, 4))
+    return [rng.choice(pool) for _ in range(n)]
+
+
+def test_input_order_is_below_x_side_y_index():
+    # the one order the dedup, both sweeps and every cluster's members
+    # share: by below, x, side y and index, with -0.0 and 0.0 equal keys;
+    # inputs as drawn, as mirror pairs (x, y), (x, -y), and on one side
+    rng = random.Random(2700)
+    tied = 0
+    for _ in range(300):
+        drawn = rng.choice((_zero_heavy, _signed_zero_xs, _copy_heavy))(rng, rng.randint(1, 40))
+        for pts in (drawn, [q for x, y in drawn for q in (Point(x, y), Point(x, -y))],
+                    [Point(x, abs(y)) for x, y in drawn],
+                    [Point(x, -abs(y)) for x, y in drawn if y != 0.0]):
+            ux = [q.x for q in pts]
+            sy = [-q.y if q.y < 0.0 else q.y for q in pts]
+            below = [q.y < 0.0 for q in pts]
+            want = sorted(range(len(pts)), key=lambda i: (below[i], ux[i], sy[i]))
+            assert hull_builder._input_order(ux, sy, below) == want, pts
+            # cases where side y orders x ties other than the index does
+            tied += want != sorted(range(len(pts)), key=lambda i: (below[i], ux[i]))
+    assert tied >= 500, tied
+
+
 def test_swept_box_closures_equal_closure_hull_of_their_runs(monkeypatch):
     # each box closure comes from its swept cluster's extremes; it must be
     # closure_hull of the cluster's run to the bit, zero signs included,
